@@ -287,8 +287,9 @@ let attach_sampling label solver =
         end)
   end
 
-(* Fold a run's final solver counters into the metric registry; each
-   engine entry point calls this exactly once, on any exit path. *)
+(* Fold a solver's final counters into the metric registry; every
+   solver is flushed exactly once, when its owner drops it or when the
+   call that created it returns. *)
 let flush_solver_metrics solvers =
   if Obs.Metrics.enabled () then
     List.iter
@@ -302,335 +303,419 @@ let flush_solver_metrics solvers =
         Obs.Metrics.add (Lazy.force m_sat_learned) st.S.s_learned_total)
       solvers
 
-(* The incremental engine: ONE solver instance lives for the whole run.
-   The optimizer's sweep queries run on it first (guarded, then retired
-   and simplified away — see {!Opt.optimize}), then each depth adds only
-   the new transition frame (a [Template] instantiation) and selects the
-   per-depth property via an activation literal: clauses [¬act_k ∨ …]
-   are inert until [solve ~assumptions:[act_k]], and a depth moving on
-   retires [act_k] with a unit clause. Learnt clauses and variable
-   activity therefore survive across depths — the amortization the whole
-   refactor is for. *)
-let check_incremental ~max_depth ~progress ?solver_config ~stop ~opt ~budget
-    ~sym circuit property =
-  check_property "Bmc.check" property;
-  let full = instrument circuit property in
-  let stop = fault_stop stop in
-  let solve_time = ref 0. in
-  let cur_depth = ref 0 in
-  (* Filled in as the run sets up, so that abort paths (budget, fault,
-     cancellation) can report honest statistics even when the failure
-     precedes solver creation (e.g. a fault inside an opt pass). *)
-  let solver_ref = ref None in
-  let opt_ref = ref None in
-  let stats depth =
-    match !solver_ref with
-    | None ->
-        {
-          depth_reached = depth;
-          solve_time = !solve_time;
-          vars = 0;
-          clauses = 0;
-          conflicts = 0;
-          decisions = 0;
-          propagations = 0;
-          restarts = 0;
-          opt = !opt_ref;
-        }
-    | Some solver ->
-        flush_solver_metrics [ solver ];
-        let st = S.stats solver in
-        {
-          depth_reached = depth;
-          solve_time = !solve_time;
-          vars = st.S.s_vars;
-          clauses = st.S.s_clauses;
-          conflicts = st.S.s_conflicts;
-          decisions = st.S.s_decisions;
-          propagations = st.S.s_propagations;
-          restarts = st.S.s_restarts;
-          opt = !opt_ref;
-        }
+(* {1 The unroll session}
+
+   Every verdict comes out of one depth loop ({!deepen}) over one or two
+   unroll sessions. A session poses "some target assertion fails at
+   cycle [k]" queries against the optimized circuit; its [policy]
+   decides how solvers live:
+
+   - [Persistent] (the default engine): ONE solver per session for the
+     whole run. The optimizer's [-O2] sweep borrows the first session's
+     solver (guarded, then retired and simplified away — see
+     {!Opt.optimize}), the transition relation is blasted once as a
+     [Template] and stamped out one frame per new cycle, and each query
+     is selected by an activation literal: clauses [¬act ∨ …] are inert
+     until [solve ~assumptions:[act]], and a query moving on retires
+     [act] with a unit clause and keeps its targets as unit facts.
+     Learnt clauses and variable activity survive across depths.
+   - [Fresh] (the scratch oracle, [~incremental:false]): every query
+     gets a fresh solver and a [Direct] re-blast of cycles [0..k], with
+     the targets asserted as facts below [k], so nothing — learnt
+     clauses, activity, watch lists — survives between queries. Its
+     value is not speed (it is quadratic in depth) but independence: a
+     different CNF shape and search trajectory that must still agree
+     with [Persistent] on verdict and CEX depth.
+
+   Facts are sound in both: a target kept at cycle [c] was just proven
+   there (base side) or is the induction hypothesis of the next step
+   query (step side, [free_init]). Budgets are pinned once per verdict:
+   one wall deadline for every solver the verdict creates, and a
+   conflict cap that is cumulative across the solvers a [Fresh] verdict
+   retires, so [Out_of_budget] fires when the verdict as a whole exceeds
+   its grant and the report stays clean up to depth [k-1]. *)
+
+type policy = Persistent | Fresh
+
+(* One call's engine: everything fixed for its duration, plus the
+   solvers it created and has not dropped yet (flushed when it ends). *)
+type env = {
+  policy : policy;
+  solver_config : S.config option;
+  stop : unit -> bool;
+  budget : budget;
+  progress : int -> unit;
+  full : Circuit.t;  (** instrumented, unoptimized: the replay target *)
+  mutable solvers : S.t list;
+}
+
+(* One verdict's accounting. [watched] solvers are read against the
+   snapshot taken when the verdict started counting them; solvers a
+   [Fresh] verdict dropped are folded into [spent], whose sizes are the
+   last dropped instance's. [depth] and [case] are what an abort
+   reports. *)
+type run = {
+  env : env;
+  sbud : S.budget;
+  mutable depth : int;
+  mutable case : case;
+  mutable solve_time : float;
+  mutable opt_stats : Opt.stats option;
+  mutable watched : (S.t * S.stats) list;
+  mutable spent : stats;
+}
+
+type session = {
+  label : string;  (** solver-progress track name *)
+  free_init : bool;  (** arbitrary start state: the k-induction step *)
+  circuit : Circuit.t;  (** optimized *)
+  sprop : property;  (** re-rooted into [circuit] *)
+  widen : (string * Bitvec.t) list array -> (string * Bitvec.t) list array;
+  mutable blaster : Cnf.Blast.t option;
+  mutable act : S.lit option;  (** the last query's activation literal *)
+}
+
+(* Statistics of a run no solver worked on (a cache hit, or an abort
+   before the first solver existed). *)
+let no_work depth =
+  {
+    depth_reached = depth;
+    solve_time = 0.;
+    vars = 0;
+    clauses = 0;
+    conflicts = 0;
+    decisions = 0;
+    propagations = 0;
+    restarts = 0;
+    opt = None;
+  }
+
+(* Run [f] over a fresh [env], flushing its surviving solvers on any
+   exit path. *)
+let with_env ~incremental ?solver_config ~stop ~budget ~progress full f =
+  let env =
+    {
+      policy = (if incremental then Persistent else Fresh);
+      solver_config;
+      stop = fault_stop stop;
+      budget;
+      progress;
+      full;
+      solvers = [];
+    }
   in
-  let run () =
-  let solver = S.create ?config:solver_config ~stop () in
-  S.set_budget solver (solver_budget budget);
-  solver_ref := Some solver;
-  attach_sampling "check" solver;
-  (* The O2 sweep borrows the persistent solver: its queries obey this
-     run's budget/stop hooks, and the search heuristics arrive at depth
-     0 already warm. *)
-  let circuit, sprop, widen, opt_stats, sym =
-    optimize_instrumented ~sweep_solver:solver ~opt ~sym full property
+  Fun.protect ~finally:(fun () -> flush_solver_metrics env.solvers) (fun () ->
+      f env)
+
+let start env =
+  {
+    env;
+    sbud = solver_budget env.budget;
+    depth = 0;
+    case = Base;
+    solve_time = 0.;
+    opt_stats = None;
+    watched = [];
+    spent = no_work 0;
+  }
+
+(* What [solver] did since the snapshot [st0]; sizes are absolute. *)
+let work solver st0 =
+  let st = S.stats solver in
+  {
+    (no_work 0) with
+    vars = st.S.s_vars;
+    clauses = st.S.s_clauses;
+    conflicts = st.S.s_conflicts - st0.S.s_conflicts;
+    decisions = st.S.s_decisions - st0.S.s_decisions;
+    propagations = st.S.s_propagations - st0.S.s_propagations;
+    restarts = st.S.s_restarts - st0.S.s_restarts;
+  }
+
+(* Counters sum over every solver of the verdict; sizes are those of the
+   instances still live (or of the last one dropped). *)
+let stats run depth =
+  let live = List.map (fun (s, st0) -> work s st0) run.watched in
+  let sum f = List.fold_left (fun acc w -> acc + f w) (f run.spent) live in
+  let size f =
+    if live = [] then f run.spent
+    else List.fold_left (fun acc w -> acc + f w) 0 live
   in
-  opt_ref := opt_stats;
+  {
+    depth_reached = depth;
+    solve_time = run.solve_time;
+    vars = size (fun w -> w.vars);
+    clauses = size (fun w -> w.clauses);
+    conflicts = sum (fun w -> w.conflicts);
+    decisions = sum (fun w -> w.decisions);
+    propagations = sum (fun w -> w.propagations);
+    restarts = sum (fun w -> w.restarts);
+    opt = run.opt_stats;
+  }
+
+(* Grant [solver] the verdict's budget: the pinned deadline, and caps
+   re-based on what the solver has already spent (a shared session
+   solver) minus what dropped solvers spent (a [Fresh] verdict's
+   cumulative cap). *)
+let grant run solver =
+  let st = S.stats solver in
+  let b = run.env.budget in
+  S.set_budget solver
+    {
+      run.sbud with
+      S.b_conflicts =
+        Option.map
+          (fun cap -> st.S.s_conflicts + cap - run.spent.conflicts)
+          b.bud_conflicts;
+      b_learnts = Option.map (fun cap -> st.S.s_learnts + cap) b.bud_learnts;
+    }
+
+(* The only place solvers are created. *)
+let new_solver run label =
+  let solver = S.create ?config:run.env.solver_config ~stop:run.env.stop () in
+  grant run solver;
+  attach_sampling label solver;
+  run.env.solvers <- solver :: run.env.solvers;
+  run.watched <- (solver, S.stats solver) :: run.watched;
+  solver
+
+(* Retire a [Fresh] query's solver: flush it and fold it into [spent]. *)
+let drop run solver =
+  flush_solver_metrics [ solver ];
+  run.env.solvers <- List.filter (( != ) solver) run.env.solvers;
+  let w = work solver (List.assq solver run.watched) and p = run.spent in
+  run.watched <- List.remove_assq solver run.watched;
+  run.spent <-
+    {
+      w with
+      conflicts = p.conflicts + w.conflicts;
+      decisions = p.decisions + w.decisions;
+      propagations = p.propagations + w.propagations;
+      restarts = p.restarts + w.restarts;
+    }
+
+(* Instrumented circuit -> optimized front end. Persistently the first
+   session's solver is created first, so the [-O2] sweep runs on it
+   under this verdict's budget and stop hooks and the search heuristics
+   arrive at depth 0 already warm; [Fresh] sweeps on a private solver. *)
+let optimize run ~label ~opt ~sym property =
+  let solver =
+    match run.env.policy with
+    | Persistent -> Some (new_solver run label)
+    | Fresh -> None
+  in
+  let ((_, _, _, opt_stats, _) as front) =
+    optimize_instrumented ?sweep_solver:solver ~opt ~sym run.env.full property
+  in
+  run.opt_stats <- opt_stats;
+  (front, solver)
+
+let session run ~label ?solver ~free_init (circuit, sprop, widen, _, sym) =
   let blaster =
-    Cnf.Blast.create ~mode:Cnf.Blast.Template ~sym solver circuit
+    match run.env.policy with
+    | Fresh -> None
+    | Persistent ->
+        let solver =
+          match solver with Some s -> s | None -> new_solver run label
+        in
+        Some
+          (Cnf.Blast.create ~free_init ~mode:Cnf.Blast.Template ~sym solver
+             circuit)
   in
-  let timed_solve ~depth ~assumptions () =
-    Obs.span "sat.solve" ~attrs:[ ("depth", Obs.Json.Int depth) ] @@ fun () ->
-    let t0 = Unix.gettimeofday () in
-    let r = S.solve ~assumptions solver in
-    solve_time := !solve_time +. (Unix.gettimeofday () -. t0);
-    r
+  { label; free_init; circuit; sprop; widen; blaster; act = None }
+
+let blaster se = Option.get se.blaster
+
+(* Unit clauses: each of [signals] holds at [cycle]. *)
+let hold b ~cycle signals =
+  List.iter
+    (fun a -> S.add_clause (Cnf.Blast.solver b) [ Cnf.Blast.lit1 b ~cycle a ])
+    signals
+
+(* Pose "some of [targets] fails at cycle [depth]" and solve it. The
+   session holds every cycle [0..depth] with the assumptions on each
+   and the targets as facts below [depth]; the step side also holds
+   the loop-free condition (cycles [i < j <= depth] in distinct
+   states). *)
+let query run se ~depth targets =
+  let b =
+    match run.env.policy with
+    | Persistent ->
+        let b = blaster se in
+        while Cnf.Blast.cycles b <= depth do
+          let cycle = Cnf.Blast.cycles b in
+          Fault.point "bmc.alloc";
+          Cnf.Blast.unroll_cycle b;
+          hold b ~cycle se.sprop.assumes
+        done;
+        b
+    | Fresh ->
+        Fault.point "bmc.alloc";
+        let solver = new_solver run se.label in
+        let b = Cnf.Blast.create ~free_init:se.free_init solver se.circuit in
+        se.blaster <- Some b;
+        for cycle = 0 to depth do
+          Cnf.Blast.unroll_cycle b;
+          hold b ~cycle se.sprop.assumes;
+          if cycle < depth then hold b ~cycle targets
+        done;
+        b
   in
+  let solver = Cnf.Blast.solver b in
+  let act = Cnf.Blast.fresh_var b in
+  S.add_clause solver
+    (S.neg act
+    :: List.map (fun a -> S.neg (Cnf.Blast.lit1 b ~cycle:depth a)) targets);
+  if se.free_init then begin
+    (* A persistent step solver already carries every pair below [depth]. *)
+    let first = match run.env.policy with Persistent -> depth | Fresh -> 1 in
+    for i = 0 to depth - 1 do
+      for j = max (i + 1) first to depth do
+        S.add_clause solver [ Cnf.Blast.state_distinct b i j ]
+      done
+    done
+  end;
+  se.act <- Some act;
+  run.case <- (if se.free_init then Step else Base);
+  Obs.span "sat.solve"
+    ~attrs:
+      [
+        ("case", Obs.Json.Str (case_to_string run.case));
+        ("depth", Obs.Json.Int depth);
+      ]
+  @@ fun () ->
+  let t0 = Unix.gettimeofday () in
+  let r = S.solve ~assumptions:[ act ] solver in
+  run.solve_time <- run.solve_time +. (Unix.gettimeofday () -. t0);
+  r
+
+(* Move past the last query: [facts] hold at [depth] from now on.
+   Persistently the query is retired and the facts become units;
+   a [Fresh] session drops the instance instead. *)
+let advance run se ~depth facts =
+  let b = blaster se in
+  let solver = Cnf.Blast.solver b in
+  match run.env.policy with
+  | Persistent ->
+      Option.iter (fun act -> S.add_clause solver [ S.neg act ]) se.act;
+      hold b ~cycle:depth facts
+  | Fresh ->
+      se.blaster <- None;
+      drop run solver
+
+(* The counterexample behind a Sat query, widened back to the
+   unoptimized circuit's inputs and replayed there against [prop] (the
+   original property roots). *)
+let extract_cex run se ~prop depth =
+  let b = blaster se in
+  let inputs =
+    Array.init (depth + 1) (fun cycle ->
+        List.map
+          (fun p ->
+            ( p.Circuit.port_name,
+              Cnf.Blast.input_value b ~cycle p.Circuit.port_name ))
+          (Circuit.inputs se.circuit))
+  in
+  let inputs = se.widen inputs in
+  let failed = validate run.env.full prop inputs depth in
+  Obs.instant ~attrs:[ ("depth", Obs.Json.Int depth) ] "bmc.cex";
+  Obs.log
+    ~attrs:
+      [
+        ("depth", Obs.Json.Int depth);
+        ("failed", Obs.Json.List (List.map (fun n -> Obs.Json.Str n) failed));
+      ]
+    Info "bmc.cex";
+  {
+    cex_depth = depth;
+    cex_inputs = inputs;
+    cex_failed = failed;
+    cex_circuit = run.env.full;
+  }
+
+(* What one round of the depth loop concluded. *)
+type 'v round =
+  | Deeper  (** the depth is clean; go on *)
+  | Holds of 'v  (** the depth is clean and the verdict is final *)
+  | Fails of 'v  (** a counterexample at this depth *)
+
+(* The depth loop: rounds 0..max_depth, each in a [bmc.depth] span that
+   records its wall time and publishes its progress on the bus. *)
+let deepen run ~max_depth ~exhausted round =
   let rec go depth =
-    if depth > max_depth then Bounded_proof (stats max_depth)
+    if depth > max_depth then exhausted (stats run max_depth)
     else begin
-      cur_depth := depth;
-      if stop () then raise S.Stopped;
-      progress depth;
+      run.depth <- depth;
+      if run.env.stop () then raise S.Stopped;
+      run.env.progress depth;
       let t_depth = Unix.gettimeofday () in
-      let found =
+      let r =
         Obs.span "bmc.depth" ~attrs:[ ("depth", Obs.Json.Int depth) ]
         @@ fun () ->
         Obs.log ~attrs:[ ("depth", Obs.Json.Int depth) ] Debug "bmc.depth";
-        (* Fault probe for the incremental path: fires between depth
+        (* Fault probe for the persistent policy: fires between depth
            [k-1]'s clean verdict and depth [k]'s clause addition, so the
            robustness fuzz can hit the solver-reuse window specifically. *)
-        if depth > 0 then Fault.point "bmc.incr";
-        Fault.point "bmc.alloc";
-        Cnf.Blast.unroll_cycle blaster;
-        (* Assumptions hold unconditionally on every cycle. *)
-        List.iter
-          (fun a ->
-            S.add_clause solver [ Cnf.Blast.lit1 blaster ~cycle:depth a ])
-          sprop.assumes;
-        (* Activation literal: act -> (some assertion is false at [depth]). *)
-        let act = Cnf.Blast.fresh_var blaster in
-        S.add_clause solver
-          (S.neg act
-          :: List.map
-               (fun (_, a) -> S.neg (Cnf.Blast.lit1 blaster ~cycle:depth a))
-               sprop.asserts);
-        match timed_solve ~depth ~assumptions:[ act ] () with
-        | S.Sat ->
-            let inputs =
-              Array.init (depth + 1) (fun cycle ->
-                  List.map
-                    (fun p ->
-                      ( p.Circuit.port_name,
-                        Cnf.Blast.input_value blaster ~cycle p.Circuit.port_name
-                      ))
-                    (Circuit.inputs circuit))
-            in
-            (* Replay on the unoptimized instrumented circuit with the
-               original property roots. *)
-            let inputs = widen inputs in
-            let failed = validate full property inputs depth in
-            Obs.instant ~attrs:[ ("depth", Obs.Json.Int depth) ] "bmc.cex";
-            Obs.log
-              ~attrs:
-                [
-                  ("depth", Obs.Json.Int depth);
-                  ( "failed",
-                    Obs.Json.List (List.map (fun n -> Obs.Json.Str n) failed)
-                  );
-                ]
-              Info "bmc.cex";
-            Some
-              (Cex
-                 ( {
-                     cex_depth = depth;
-                     cex_inputs = inputs;
-                     cex_failed = failed;
-                     cex_circuit = full;
-                   },
-                   stats depth ))
-        | S.Unsat ->
-            (* No failure at this depth: deactivate and assert the properties
-               as facts for deeper searches. *)
-            S.add_clause solver [ S.neg act ];
-            List.iter
-              (fun (_, a) ->
-                S.add_clause solver [ Cnf.Blast.lit1 blaster ~cycle:depth a ])
-              sprop.asserts;
-            None
+        if depth > 0 && run.env.policy = Persistent then Fault.point "bmc.incr";
+        round depth
       in
-      let depth_s = Unix.gettimeofday () -. t_depth in
+      let seconds = Unix.gettimeofday () -. t_depth in
       if Obs.Metrics.enabled () then
-        Obs.Metrics.record (Lazy.force m_depth_seconds) depth_s;
-      (match found with
-      | Some _ -> Obs.Bus.publish (Obs.Bus.Cex_found { depth })
-      | None ->
-          Obs.Bus.publish (Obs.Bus.Depth_solved { depth; seconds = depth_s }));
-      match found with Some outcome -> outcome | None -> go (depth + 1)
+        Obs.Metrics.record (Lazy.force m_depth_seconds) seconds;
+      match r with
+      | Deeper ->
+          Obs.Bus.publish (Obs.Bus.Depth_solved { depth; seconds });
+          go (depth + 1)
+      | Holds v ->
+          Obs.Bus.publish (Obs.Bus.Depth_solved { depth; seconds });
+          v
+      | Fails v ->
+          Obs.Bus.publish (Obs.Bus.Cex_found { depth });
+          v
     end
   in
   go 0
-  in
-  try run () with
-  | S.Stopped -> raise (Cancelled (stats !cur_depth))
+
+(* Map the engine's aborts onto verdicts: an external stop raises
+   {!Cancelled}; budget exhaustion and injected faults downgrade to
+   [Unknown], clean up to the depth before the one being explored. *)
+let attempt run f =
+  try Ok (f ()) with
+  | S.Stopped -> raise (Cancelled (stats run run.depth))
   | S.Out_of_budget kind ->
-      Unknown
+      Error
         ( Budget_exhausted
-            { ub_budget = kind; ub_depth = !cur_depth; ub_case = Base },
-          stats (!cur_depth - 1) )
+            { ub_budget = kind; ub_depth = run.depth; ub_case = run.case },
+          stats run (run.depth - 1) )
   | Fault.Injected site ->
       Obs.Bus.publish (Obs.Bus.Fault_injected { site });
-      Unknown (Faulted site, stats (!cur_depth - 1))
+      Error (Faulted site, stats run (run.depth - 1))
 
-(* The scratch oracle (`--no-incremental`): every depth gets a fresh
-   solver and a fresh [Direct] re-blast of cycles 0..k, so nothing —
-   learnt clauses, activity, watch lists — survives between depths. Its
-   value is not speed (it is quadratic in depth) but independence: a
-   different CNF shape and a different search trajectory that must still
-   agree with the incremental engine on verdict and CEX depth, which is
-   what the differential harness checks.
-
-   Semantics mirror the incremental engine: facts proven at earlier
-   depths (no assertion fails before k) are re-asserted, so both report
-   the shallowest failing depth. The wall deadline is pinned once at
-   entry and shared by every per-depth solver; the conflict cap is
-   cumulative — depth k's solver receives the cap minus what earlier
-   depths spent — so [Out_of_budget] fires when the run as a whole
-   exceeds the grant and the report stays clean up to depth k-1. *)
-let check_scratch ~max_depth ~progress ?solver_config ~stop ~opt ~budget
-    circuit property =
+let check_engine ~max_depth ~progress ?solver_config ~stop ~opt ~budget
+    ~incremental ~sym circuit property =
   check_property "Bmc.check" property;
-  let full = instrument circuit property in
-  let stop = fault_stop stop in
-  let solve_time = ref 0. in
-  let cur_depth = ref 0 in
-  let opt_ref = ref None in
-  let sbud = solver_budget budget in
-  (* Counters fold in as each per-depth solver retires; the size fields
-     track the deepest (= largest) instance. *)
-  let acc_conflicts = ref 0 and acc_decisions = ref 0 in
-  let acc_propagations = ref 0 and acc_restarts = ref 0 in
-  let last_vars = ref 0 and last_clauses = ref 0 in
-  let live = ref None in
-  let retire_solver () =
-    match !live with
-    | None -> ()
-    | Some solver ->
-        flush_solver_metrics [ solver ];
-        let st = S.stats solver in
-        acc_conflicts := !acc_conflicts + st.S.s_conflicts;
-        acc_decisions := !acc_decisions + st.S.s_decisions;
-        acc_propagations := !acc_propagations + st.S.s_propagations;
-        acc_restarts := !acc_restarts + st.S.s_restarts;
-        last_vars := st.S.s_vars;
-        last_clauses := st.S.s_clauses;
-        live := None
-  in
-  let stats depth =
-    retire_solver ();
-    {
-      depth_reached = depth;
-      solve_time = !solve_time;
-      vars = !last_vars;
-      clauses = !last_clauses;
-      conflicts = !acc_conflicts;
-      decisions = !acc_decisions;
-      propagations = !acc_propagations;
-      restarts = !acc_restarts;
-      opt = !opt_ref;
-    }
-  in
-  let run () =
-    let circuit, sprop, widen, opt_stats, _ =
-      optimize_instrumented ~opt full property
-    in
-    opt_ref := opt_stats;
-    let rec go depth =
-      if depth > max_depth then Bounded_proof (stats max_depth)
-      else begin
-        cur_depth := depth;
-        if stop () then raise S.Stopped;
-        progress depth;
-        let t_depth = Unix.gettimeofday () in
-        let found =
-          Obs.span "bmc.depth" ~attrs:[ ("depth", Obs.Json.Int depth) ]
-          @@ fun () ->
-          Obs.log ~attrs:[ ("depth", Obs.Json.Int depth) ] Debug "bmc.depth";
-          Fault.point "bmc.alloc";
-          let solver = S.create ?config:solver_config ~stop () in
-          S.set_budget solver
-            {
-              sbud with
-              S.b_conflicts =
-                Option.map
-                  (fun cap -> cap - !acc_conflicts)
-                  budget.bud_conflicts;
-            };
-          attach_sampling "check" solver;
-          live := Some solver;
-          let blaster = Cnf.Blast.create solver circuit in
-          for cycle = 0 to depth do
-            Cnf.Blast.unroll_cycle blaster;
-            List.iter
-              (fun a -> S.add_clause solver [ Cnf.Blast.lit1 blaster ~cycle a ])
-              sprop.assumes;
-            if cycle < depth then
-              List.iter
-                (fun (_, a) ->
-                  S.add_clause solver [ Cnf.Blast.lit1 blaster ~cycle a ])
-                sprop.asserts
-          done;
-          let act = Cnf.Blast.fresh_var blaster in
-          S.add_clause solver
-            (S.neg act
-            :: List.map
-                 (fun (_, a) -> S.neg (Cnf.Blast.lit1 blaster ~cycle:depth a))
-                 sprop.asserts);
-          let r =
-            Obs.span "sat.solve" ~attrs:[ ("depth", Obs.Json.Int depth) ]
-            @@ fun () ->
-            let t0 = Unix.gettimeofday () in
-            let r = S.solve ~assumptions:[ act ] solver in
-            solve_time := !solve_time +. (Unix.gettimeofday () -. t0);
-            r
-          in
-          match r with
-          | S.Sat ->
-              let inputs =
-                Array.init (depth + 1) (fun cycle ->
-                    List.map
-                      (fun p ->
-                        ( p.Circuit.port_name,
-                          Cnf.Blast.input_value blaster ~cycle
-                            p.Circuit.port_name ))
-                      (Circuit.inputs circuit))
-              in
-              let inputs = widen inputs in
-              let failed = validate full property inputs depth in
-              Obs.instant ~attrs:[ ("depth", Obs.Json.Int depth) ] "bmc.cex";
-              Some
-                (Cex
-                   ( {
-                       cex_depth = depth;
-                       cex_inputs = inputs;
-                       cex_failed = failed;
-                       cex_circuit = full;
-                     },
-                     stats depth ))
-          | S.Unsat ->
-              retire_solver ();
-              None
-        in
-        let depth_s = Unix.gettimeofday () -. t_depth in
-        if Obs.Metrics.enabled () then
-          Obs.Metrics.record (Lazy.force m_depth_seconds) depth_s;
-        (match found with
-        | Some _ -> Obs.Bus.publish (Obs.Bus.Cex_found { depth })
-        | None ->
-            Obs.Bus.publish (Obs.Bus.Depth_solved { depth; seconds = depth_s }));
-        match found with Some outcome -> outcome | None -> go (depth + 1)
-      end
-    in
-    go 0
-  in
-  try run () with
-  | S.Stopped -> raise (Cancelled (stats !cur_depth))
-  | S.Out_of_budget kind ->
-      Unknown
-        ( Budget_exhausted
-            { ub_budget = kind; ub_depth = !cur_depth; ub_case = Base },
-          stats (!cur_depth - 1) )
-  | Fault.Injected site ->
-      Obs.Bus.publish (Obs.Bus.Fault_injected { site });
-      Unknown (Faulted site, stats (!cur_depth - 1))
+  with_env ~incremental ?solver_config ~stop ~budget ~progress
+    (instrument circuit property)
+  @@ fun env ->
+  let run = start env in
+  match
+    attempt run (fun () ->
+        let front, solver = optimize run ~label:"check" ~opt ~sym property in
+        let se = session run ~label:"check" ?solver ~free_init:false front in
+        let targets = List.map snd se.sprop.asserts in
+        deepen run ~max_depth
+          ~exhausted:(fun st -> Bounded_proof st)
+          (fun depth ->
+            match query run se ~depth targets with
+            | S.Sat ->
+                let cex = extract_cex run se ~prop:property depth in
+                Fails (Cex (cex, stats run depth))
+            | S.Unsat ->
+                advance run se ~depth targets;
+                Deeper))
+  with
+  | Ok o -> o
+  | Error (reason, st) -> Unknown (reason, st)
 
 (* {1 Verdict cache}
 
@@ -702,20 +787,6 @@ let log_provenance cache key =
               ("config", Obs.Json.Str p.Cache.p_config);
             ]
     | _ -> ()
-
-(* Statistics for a run the cache answered: no solver existed. *)
-let hit_stats depth =
-  {
-    depth_reached = depth;
-    solve_time = 0.;
-    vars = 0;
-    clauses = 0;
-    conflicts = 0;
-    decisions = 0;
-    propagations = 0;
-    restarts = 0;
-    opt = None;
-  }
 
 let cache_entry_of_cex canon property cex =
   let ord_of_name = Hashtbl.create 16 in
@@ -814,7 +885,7 @@ let cached_check cache key canon full property max_depth =
   | None -> None
   | Some (Cache.Bounded d) when d = max_depth ->
       log_provenance cache key;
-      Some (Bounded_proof (hit_stats d))
+      Some (Bounded_proof (no_work d))
   | Some (Cache.Bounded _) | Some (Cache.Proved _) ->
       (* Malformed under this key (the depth bound and engine are part
          of it): evict and recompute. *)
@@ -824,7 +895,7 @@ let cached_check cache key canon full property max_depth =
       Option.map
         (fun cex ->
           log_provenance cache key;
-          Cex (cex, hit_stats cex.cex_depth))
+          Cex (cex, no_work cex.cex_depth))
         (revalidate_cached_cex cache key canon full property max_depth cc)
 
 let store_check cache key canon property ~config = function
@@ -841,12 +912,8 @@ let check ?(max_depth = 30) ?(progress = fun _ -> ()) ?solver_config
     ?(stop = fun () -> false) ?(opt = Opt.O0) ?(budget = no_budget)
     ?(incremental = true) ?(sym = []) ?cache circuit property =
   let engine () =
-    if incremental then
-      check_incremental ~max_depth ~progress ?solver_config ~stop ~opt ~budget
-        ~sym circuit property
-    else
-      check_scratch ~max_depth ~progress ?solver_config ~stop ~opt ~budget
-        circuit property
+    check_engine ~max_depth ~progress ?solver_config ~stop ~opt ~budget
+      ~incremental ~sym circuit property
   in
   match cache with
   | None -> engine ()
@@ -874,23 +941,22 @@ let check ?(max_depth = 30) ?(progress = fun _ -> ()) ?solver_config
    sweep reports a witness per failing output — the raw CEX pool a
    campaign dedups into distinct channels.
 
-   Incremental mode shares ONE solver session across the whole sweep:
-   the circuit is optimized once over the union of the assertion cones
-   (a trade-off against the per-assertion cone restriction of the
-   scratch path: one bigger instance, paid for once), the unrolling is
-   shared, and each per-assertion Unsat verdict is recorded as a unit
-   fact — sound to share because "assertion A holds at cycle c" is an
-   unconditional theorem under the assumptions, independent of which
-   assertion's search proved it. The [budget] is still granted afresh
-   per assertion (fresh deadline; conflict/learnt caps re-based on the
-   session's current counters), so one diverging assertion degrades to
-   Unknown without starving the rest; a budget abort or injected fault
-   leaves the solver's search state undefined, so the poisoned session
-   is dropped and the next assertion rebuilds it.
+   [Fresh]: one independent scratch [check] per assertion, each
+   optimized down to its own cone — the differential oracle.
 
-   Scratch mode keeps the historical semantics exactly: one fresh
-   [check ~incremental:false] per assertion, each optimized down to its
-   own cone. *)
+   [Persistent]: the whole sweep shares ONE session: the circuit is
+   optimized once over the union of the assertion cones (one bigger
+   instance, paid for once), the unrolling is shared, and each
+   per-assertion Unsat verdict stays as a unit fact — sound to share
+   because "assertion A holds at cycle c" is an unconditional theorem
+   under the assumptions, independent of which assertion's search
+   proved it. Each assertion is its own verdict: counters count from
+   its start, and the budget is granted afresh (fresh deadline, caps
+   re-based on the session's counters), so one diverging assertion
+   degrades to Unknown without starving the rest. A budget abort or
+   injected fault leaves the solver's search state undefined, so the
+   poisoned session is dropped and the next assertion rebuilds it (the
+   optimizer result is kept). *)
 let check_each ?(max_depth = 30) ?(progress = fun _ -> ()) ?solver_config
     ?(stop = fun () -> false) ?(opt = Opt.O0) ?(budget = no_budget)
     ?(incremental = true) ?(sym = []) ?cache circuit property =
@@ -908,193 +974,52 @@ let check_each ?(max_depth = 30) ?(progress = fun _ -> ()) ?solver_config
   else begin
     check_property "Bmc.check_each" property;
     let full = instrument circuit property in
-    let stop = fault_stop stop in
-    let opt_memo = ref None in
-    let session = ref None in
-    let all_solvers = ref [] in
-    let get_session () =
-      match !session with
-      | Some s -> s
+    with_env ~incremental ?solver_config ~stop ~budget ~progress full
+    @@ fun env ->
+    let front = ref None and shared = ref None in
+    let open_session run =
+      let ((_, _, _, opt_stats, _) as f), solver =
+        match !front with
+        | Some f -> (f, None)
+        | None -> optimize run ~label:"check_each" ~opt ~sym property
+      in
+      front := Some f;
+      run.opt_stats <- opt_stats;
+      match !shared with
+      | Some se -> se
       | None ->
-          let solver = S.create ?config:solver_config ~stop () in
-          attach_sampling "check_each" solver;
-          all_solvers := solver :: !all_solvers;
-          let opt_result =
-            match !opt_memo with
-            | Some r -> r
-            | None ->
-                (* The O2 sweep borrows the session solver under its own
-                   budget grant; its warm-up benefits every assertion. *)
-                S.set_budget solver (solver_budget budget);
-                let r =
-                  optimize_instrumented ~sweep_solver:solver ~opt ~sym full
-                    property
-                in
-                opt_memo := Some r;
-                r
-          in
-          let circuit', _, _, _, sym' = opt_result in
-          let blaster =
-            Cnf.Blast.create ~mode:Cnf.Blast.Template ~sym:sym' solver circuit'
-          in
-          let s = (solver, blaster, opt_result) in
-          session := Some s;
-          s
-    in
-    (* Unroll (and constrain with the assumptions) up to [depth]; cycles
-       unrolled during an earlier assertion's search are reused as-is. *)
-    let ensure_cycle solver blaster sprop depth =
-      while Cnf.Blast.cycles blaster <= depth do
-        let cycle = Cnf.Blast.cycles blaster in
-        Fault.point "bmc.alloc";
-        Cnf.Blast.unroll_cycle blaster;
-        List.iter
-          (fun a -> S.add_clause solver [ Cnf.Blast.lit1 blaster ~cycle a ])
-          sprop.assumes
-      done
-    in
-    let opt_stats_of () =
-      match !opt_memo with Some (_, _, _, o, _) -> o | None -> None
+          let se = session run ~label:"check_each" ?solver ~free_init:false f in
+          shared := Some se;
+          se
     in
     let run_one idx (name, orig_a) =
       Obs.span "bmc.check_each" ~attrs:[ ("assert", Obs.Json.Str name) ]
       @@ fun () ->
-      let solve_time = ref 0. in
-      let cur_depth = ref 0 in
-      let baseline = ref None in
-      (* Per-assertion view of the shared instance: counters are deltas
-         against the session snapshot taken when this assertion started;
-         sizes stay absolute (the instance the query actually ran on). *)
-      let stats depth =
-        match !baseline with
-        | None ->
-            {
-              depth_reached = depth;
-              solve_time = !solve_time;
-              vars = 0;
-              clauses = 0;
-              conflicts = 0;
-              decisions = 0;
-              propagations = 0;
-              restarts = 0;
-              opt = opt_stats_of ();
-            }
-        | Some (solver, st0) ->
-            let st = S.stats solver in
-            {
-              depth_reached = depth;
-              solve_time = !solve_time;
-              vars = st.S.s_vars;
-              clauses = st.S.s_clauses;
-              conflicts = st.S.s_conflicts - st0.S.s_conflicts;
-              decisions = st.S.s_decisions - st0.S.s_decisions;
-              propagations = st.S.s_propagations - st0.S.s_propagations;
-              restarts = st.S.s_restarts - st0.S.s_restarts;
-              opt = opt_stats_of ();
-            }
-      in
-      let run () =
-        let solver, blaster, (_, sprop, widen, _, _) = get_session () in
-        let st0 = S.stats solver in
-        baseline := Some (solver, st0);
-        (* Fresh grant on the shared instance: new deadline, caps re-based
-           on what the session has already spent. *)
-        let sbud = solver_budget budget in
-        S.set_budget solver
-          {
-            sbud with
-            S.b_conflicts =
-              Option.map
-                (fun cap -> st0.S.s_conflicts + cap)
-                budget.bud_conflicts;
-            b_learnts =
-              Option.map (fun cap -> st0.S.s_learnts + cap) budget.bud_learnts;
-          };
-        let asig = snd (List.nth sprop.asserts idx) in
-        let sub = { assumes = property.assumes; asserts = [ (name, orig_a) ] } in
-        let rec go depth =
-          if depth > max_depth then Bounded_proof (stats max_depth)
-          else begin
-            cur_depth := depth;
-            if stop () then raise S.Stopped;
-            progress depth;
-            let t_depth = Unix.gettimeofday () in
-            let found =
-              Obs.span "bmc.depth" ~attrs:[ ("depth", Obs.Json.Int depth) ]
-              @@ fun () ->
-              if depth > 0 then Fault.point "bmc.incr";
-              ensure_cycle solver blaster sprop depth;
-              let alit = Cnf.Blast.lit1 blaster ~cycle:depth asig in
-              let act = Cnf.Blast.fresh_var blaster in
-              S.add_clause solver [ S.neg act; S.neg alit ];
-              let r =
-                Obs.span "sat.solve" ~attrs:[ ("depth", Obs.Json.Int depth) ]
-                @@ fun () ->
-                let t0 = Unix.gettimeofday () in
-                let r = S.solve ~assumptions:[ act ] solver in
-                solve_time := !solve_time +. (Unix.gettimeofday () -. t0);
-                r
-              in
-              match r with
-              | S.Sat ->
-                  S.add_clause solver [ S.neg act ];
-                  let inputs =
-                    Array.init (depth + 1) (fun cycle ->
-                        List.map
-                          (fun p ->
-                            ( p.Circuit.port_name,
-                              Cnf.Blast.input_value blaster ~cycle
-                                p.Circuit.port_name ))
-                          (Circuit.inputs (Cnf.Blast.circuit blaster)))
-                  in
-                  let inputs = widen inputs in
-                  let failed = validate full sub inputs depth in
-                  Obs.instant
-                    ~attrs:[ ("depth", Obs.Json.Int depth) ]
-                    "bmc.cex";
-                  Some
-                    (Cex
-                       ( {
-                           cex_depth = depth;
-                           cex_inputs = inputs;
-                           cex_failed = failed;
-                           cex_circuit = full;
-                         },
-                         stats depth ))
-              | S.Unsat ->
-                  (* Retire the query and record the theorem: this
-                     assertion holds at [depth], for every later search. *)
-                  S.add_clause solver [ S.neg act ];
-                  S.add_clause solver [ alit ];
-                  None
-            in
-            let depth_s = Unix.gettimeofday () -. t_depth in
-            if Obs.Metrics.enabled () then
-              Obs.Metrics.record (Lazy.force m_depth_seconds) depth_s;
-            (match found with
-            | Some _ -> Obs.Bus.publish (Obs.Bus.Cex_found { depth })
-            | None ->
-                Obs.Bus.publish
-                  (Obs.Bus.Depth_solved { depth; seconds = depth_s }));
-            match found with Some outcome -> outcome | None -> go (depth + 1)
-          end
-        in
-        go 0
-      in
-      try run () with
-      | S.Stopped ->
-          session := None;
-          raise (Cancelled (stats !cur_depth))
-      | S.Out_of_budget kind ->
-          session := None;
-          Unknown
-            ( Budget_exhausted
-                { ub_budget = kind; ub_depth = !cur_depth; ub_case = Base },
-              stats (!cur_depth - 1) )
-      | Fault.Injected site ->
-          session := None;
-          Obs.Bus.publish (Obs.Bus.Fault_injected { site });
-          Unknown (Faulted site, stats (!cur_depth - 1))
+      let run = start env in
+      let sub = { assumes = property.assumes; asserts = [ (name, orig_a) ] } in
+      match
+        attempt run (fun () ->
+            let se = open_session run in
+            let solver = Cnf.Blast.solver (blaster se) in
+            run.watched <- [ (solver, S.stats solver) ];
+            grant run solver;
+            let target = [ snd (List.nth se.sprop.asserts idx) ] in
+            deepen run ~max_depth
+              ~exhausted:(fun st -> Bounded_proof st)
+              (fun depth ->
+                match query run se ~depth target with
+                | S.Sat ->
+                    advance run se ~depth [];
+                    let cex = extract_cex run se ~prop:sub depth in
+                    Fails (Cex (cex, stats run depth))
+                | S.Unsat ->
+                    advance run se ~depth target;
+                    Deeper))
+      with
+      | Ok o -> o
+      | Error (reason, st) ->
+          shared := None;
+          Unknown (reason, st)
     in
     (* Per-assertion cache entries use the same key shape as a
        single-assertion [check] at the same configuration — the verdict
@@ -1148,14 +1073,7 @@ let check_each ?(max_depth = 30) ?(progress = fun _ -> ()) ?solver_config
       end;
       o
     in
-    let flush () = flush_solver_metrics !all_solvers in
-    match List.mapi (fun i (name, a) -> (name, run_cached i (name, a))) property.asserts with
-    | results ->
-        flush ();
-        results
-    | exception e ->
-        flush ();
-        raise e
+    List.mapi (fun i (name, a) -> (name, run_cached i (name, a))) property.asserts
   end
 
 let pp_cex fmt cex =
@@ -1178,356 +1096,52 @@ type induction_outcome =
   | Refuted of cex * stats
   | Unknown of unknown_reason * stats
 
-(* Incremental k-induction: the base and step solvers are each created
-   once and live across every round — round k adds one [Template] frame,
-   the round's activation literal, and (step side) the uniqueness
-   constraints pairing cycle k against earlier cycles; the previously
-   installed pairs persist, so after round k the step instance carries
-   the full loop-free condition over cycles 0..k. The O2 sweep borrows
-   the base solver. *)
-let prove_incremental ~max_depth ~progress ?solver_config ~stop ~opt ~budget
-    ~sym circuit property =
+(* k-induction: a base session from reset and a [free_init] step
+   session over the same optimized circuit, deepened together. Round k
+   asks the base whether some assertion fails at cycle k; if not, it
+   asks the step whether a loop-free path of k good states from an
+   arbitrary start reaches a bad one at cycle k. The base facts are
+   theorems, the step facts the induction hypothesis. *)
+let prove_engine ~max_depth ~progress ?solver_config ~stop ~opt ~budget
+    ~incremental ~sym circuit property =
   check_property "Bmc.prove" property;
-  let full = instrument circuit property in
-  let stop = fault_stop stop in
-  let solve_time = ref 0. in
-  let cur_depth = ref 0 in
-  let cur_case = ref Base in
-  let solvers_ref = ref [] in
-  let opt_ref = ref None in
-  let stats depth =
-    flush_solver_metrics !solvers_ref;
-    let sum f =
-      List.fold_left (fun acc s -> acc + f (S.stats s)) 0 !solvers_ref
-    in
-    {
-      depth_reached = depth;
-      solve_time = !solve_time;
-      vars = sum (fun st -> st.S.s_vars);
-      clauses = sum (fun st -> st.S.s_clauses);
-      conflicts = sum (fun st -> st.S.s_conflicts);
-      decisions = sum (fun st -> st.S.s_decisions);
-      propagations = sum (fun st -> st.S.s_propagations);
-      restarts = sum (fun st -> st.S.s_restarts);
-      opt = !opt_ref;
-    }
-  in
-  let run () =
-  (* One absolute deadline shared by both solvers. *)
-  let sbud = solver_budget budget in
-  let base_solver = S.create ?config:solver_config ~stop () in
-  S.set_budget base_solver sbud;
-  attach_sampling "base" base_solver;
-  solvers_ref := [ base_solver ];
-  let circuit, sprop, widen, opt_stats, sym =
-    optimize_instrumented ~sweep_solver:base_solver ~opt ~sym full property
-  in
-  opt_ref := opt_stats;
-  let base =
-    Cnf.Blast.create ~mode:Cnf.Blast.Template ~sym base_solver circuit
-  in
-  let step_solver = S.create ?config:solver_config ~stop () in
-  S.set_budget step_solver sbud;
-  attach_sampling "step" step_solver;
-  let step =
-    Cnf.Blast.create ~free_init:true ~mode:Cnf.Blast.Template ~sym step_solver
-      circuit
-  in
-  solvers_ref := [ base_solver; step_solver ];
-  let timed ~case ~depth solver assumptions =
-    cur_case := (match case with "base" -> Base | _ -> Step);
-    Obs.span ("bmc." ^ case) ~attrs:[ ("depth", Obs.Json.Int depth) ]
-    @@ fun () ->
-    let t0 = Unix.gettimeofday () in
-    let r =
-      Obs.span "sat.solve"
-        ~attrs:[ ("case", Obs.Json.Str case); ("depth", Obs.Json.Int depth) ]
-        (fun () -> S.solve ~assumptions solver)
-    in
-    solve_time := !solve_time +. (Unix.gettimeofday () -. t0);
-    r
-  in
-  (* Shared per-cycle constraint installation for either blaster. *)
-  let install blaster depth =
-    Fault.point "bmc.alloc";
-    Cnf.Blast.unroll_cycle blaster;
-    let solver = Cnf.Blast.solver blaster in
-    List.iter
-      (fun a -> S.add_clause solver [ Cnf.Blast.lit1 blaster ~cycle:depth a ])
-      sprop.assumes;
-    let act = Cnf.Blast.fresh_var blaster in
-    S.add_clause solver
-      (S.neg act
-      :: List.map
-           (fun (_, a) -> S.neg (Cnf.Blast.lit1 blaster ~cycle:depth a))
-           sprop.asserts);
-    act
-  in
-  let retire blaster depth act =
-    let solver = Cnf.Blast.solver blaster in
-    S.add_clause solver [ S.neg act ];
-    List.iter
-      (fun (_, a) -> S.add_clause solver [ Cnf.Blast.lit1 blaster ~cycle:depth a ])
-      sprop.asserts
-  in
-  let rec go k =
-    if k > max_depth then Unknown (Bound_exhausted, stats max_depth)
-    else begin
-      cur_depth := k;
-      if stop () then raise S.Stopped;
-      progress k;
-      let t_depth = Unix.gettimeofday () in
-      Obs.log ~attrs:[ ("depth", Obs.Json.Int k) ] Debug "bmc.induction_depth";
-      if k > 0 then Fault.point "bmc.incr";
-      (* Base case: bad at cycle k, from reset. *)
-      let base_act = install base k in
-      match timed ~case:"base" ~depth:k base_solver [ base_act ] with
-      | S.Sat ->
-          let inputs =
-            Array.init (k + 1) (fun cycle ->
-                List.map
-                  (fun p ->
-                    ( p.Circuit.port_name,
-                      Cnf.Blast.input_value base ~cycle p.Circuit.port_name ))
-                  (Circuit.inputs circuit))
-          in
-          let inputs = widen inputs in
-          let failed = validate full property inputs k in
-          Obs.instant ~attrs:[ ("depth", Obs.Json.Int k) ] "bmc.cex";
-          Obs.log
-            ~attrs:
-              [
-                ("depth", Obs.Json.Int k);
-                ("failed", Obs.Json.List (List.map (fun n -> Obs.Json.Str n) failed));
-              ]
-            Info "bmc.refuted";
-          Refuted
-            ( { cex_depth = k; cex_inputs = inputs; cex_failed = failed; cex_circuit = full },
-              stats k )
-      | S.Unsat ->
-          retire base k base_act;
-          (* Inductive step: a loop-free path of k good states reaching a
-             bad one at cycle k, from an arbitrary start. *)
-          let step_act = install step k in
-          for i = 0 to k - 1 do
-            S.add_clause step_solver [ Cnf.Blast.state_distinct step i k ]
-          done;
-          (match timed ~case:"step" ~depth:k step_solver [ step_act ] with
-          | S.Unsat ->
-              Obs.instant ~attrs:[ ("depth", Obs.Json.Int k) ] "bmc.proved";
-              Obs.log ~attrs:[ ("k", Obs.Json.Int k) ] Info "bmc.proved";
-              Proved (k, stats k)
-          | S.Sat ->
-              retire step k step_act;
-              if Obs.Metrics.enabled () then
-                Obs.Metrics.record (Lazy.force m_depth_seconds)
-                  (Unix.gettimeofday () -. t_depth);
-              go (k + 1))
-    end
-  in
-  go 0
-  in
-  try run () with
-  | S.Stopped -> raise (Cancelled (stats !cur_depth))
-  | S.Out_of_budget kind ->
-      Unknown
-        ( Budget_exhausted
-            { ub_budget = kind; ub_depth = !cur_depth; ub_case = !cur_case },
-          stats (!cur_depth - 1) )
-  | Fault.Injected site ->
-      Obs.Bus.publish (Obs.Bus.Fault_injected { site });
-      Unknown (Faulted site, stats (!cur_depth - 1))
-
-(* Scratch k-induction oracle: each round builds a fresh base and a
-   fresh step solver with [Direct] unrollings of cycles 0..k, assertion
-   facts below k, and — step side — the full loop-free condition (every
-   pair of cycles i < j <= k distinct, since nothing persists from
-   earlier rounds). The wall deadline is shared by every solver ever
-   created; the conflict cap is cumulative across them (each new solver
-   gets the cap minus what its predecessors spent). *)
-let prove_scratch ~max_depth ~progress ?solver_config ~stop ~opt ~budget
-    circuit property =
-  check_property "Bmc.prove" property;
-  let full = instrument circuit property in
-  let stop = fault_stop stop in
-  let solve_time = ref 0. in
-  let cur_depth = ref 0 in
-  let cur_case = ref Base in
-  let opt_ref = ref None in
-  let sbud = solver_budget budget in
-  let acc_conflicts = ref 0 and acc_decisions = ref 0 in
-  let acc_propagations = ref 0 and acc_restarts = ref 0 in
-  let last_vars = ref 0 and last_clauses = ref 0 in
-  let live = ref [] in
-  let retire_solvers () =
-    match !live with
-    | [] -> ()
-    | solvers ->
-        flush_solver_metrics solvers;
-        last_vars := 0;
-        last_clauses := 0;
-        List.iter
-          (fun solver ->
-            let st = S.stats solver in
-            acc_conflicts := !acc_conflicts + st.S.s_conflicts;
-            acc_decisions := !acc_decisions + st.S.s_decisions;
-            acc_propagations := !acc_propagations + st.S.s_propagations;
-            acc_restarts := !acc_restarts + st.S.s_restarts;
-            last_vars := !last_vars + st.S.s_vars;
-            last_clauses := !last_clauses + st.S.s_clauses)
-          solvers;
-        live := []
-  in
-  let stats depth =
-    retire_solvers ();
-    {
-      depth_reached = depth;
-      solve_time = !solve_time;
-      vars = !last_vars;
-      clauses = !last_clauses;
-      conflicts = !acc_conflicts;
-      decisions = !acc_decisions;
-      propagations = !acc_propagations;
-      restarts = !acc_restarts;
-      opt = !opt_ref;
-    }
-  in
-  let run () =
-    let circuit, sprop, widen, opt_stats, _ =
-      optimize_instrumented ~opt full property
-    in
-    opt_ref := opt_stats;
-    let new_solver label =
-      let solver = S.create ?config:solver_config ~stop () in
-      S.set_budget solver
-        {
-          sbud with
-          S.b_conflicts =
-            Option.map (fun cap -> cap - !acc_conflicts) budget.bud_conflicts;
-        };
-      attach_sampling label solver;
-      live := solver :: !live;
-      solver
-    in
-    let timed ~case ~depth solver assumptions =
-      cur_case := (match case with "base" -> Base | _ -> Step);
-      Obs.span ("bmc." ^ case) ~attrs:[ ("depth", Obs.Json.Int depth) ]
-      @@ fun () ->
-      let t0 = Unix.gettimeofday () in
-      let r =
-        Obs.span "sat.solve"
-          ~attrs:[ ("case", Obs.Json.Str case); ("depth", Obs.Json.Int depth) ]
-          (fun () -> S.solve ~assumptions solver)
-      in
-      solve_time := !solve_time +. (Unix.gettimeofday () -. t0);
-      r
-    in
-    (* Unroll cycles 0..k into a fresh blaster: assumptions everywhere,
-       assertion facts strictly below k, activation clause at k. *)
-    let build blaster k =
-      let solver = Cnf.Blast.solver blaster in
-      for cycle = 0 to k do
-        Cnf.Blast.unroll_cycle blaster;
-        List.iter
-          (fun a -> S.add_clause solver [ Cnf.Blast.lit1 blaster ~cycle a ])
-          sprop.assumes;
-        if cycle < k then
-          List.iter
-            (fun (_, a) ->
-              S.add_clause solver [ Cnf.Blast.lit1 blaster ~cycle a ])
-            sprop.asserts
-      done;
-      let act = Cnf.Blast.fresh_var blaster in
-      S.add_clause solver
-        (S.neg act
-        :: List.map
-             (fun (_, a) -> S.neg (Cnf.Blast.lit1 blaster ~cycle:k a))
-             sprop.asserts);
-      act
-    in
-    let rec go k =
-      if k > max_depth then Unknown (Bound_exhausted, stats max_depth)
-      else begin
-        cur_depth := k;
-        if stop () then raise S.Stopped;
-        progress k;
-        let t_depth = Unix.gettimeofday () in
-        Obs.log ~attrs:[ ("depth", Obs.Json.Int k) ] Debug
-          "bmc.induction_depth";
-        Fault.point "bmc.alloc";
-        let base_solver = new_solver "base" in
-        let base = Cnf.Blast.create base_solver circuit in
-        let base_act = build base k in
-        match timed ~case:"base" ~depth:k base_solver [ base_act ] with
-        | S.Sat ->
-            let inputs =
-              Array.init (k + 1) (fun cycle ->
-                  List.map
-                    (fun p ->
-                      ( p.Circuit.port_name,
-                        Cnf.Blast.input_value base ~cycle p.Circuit.port_name ))
-                    (Circuit.inputs circuit))
-            in
-            let inputs = widen inputs in
-            let failed = validate full property inputs k in
-            Obs.instant ~attrs:[ ("depth", Obs.Json.Int k) ] "bmc.cex";
-            Refuted
-              ( {
-                  cex_depth = k;
-                  cex_inputs = inputs;
-                  cex_failed = failed;
-                  cex_circuit = full;
-                },
-                stats k )
-        | S.Unsat ->
-            (* Fold the base instance in before granting the step solver
-               its share of the conflict cap. *)
-            retire_solvers ();
-            Fault.point "bmc.alloc";
-            let step_solver = new_solver "step" in
-            let step = Cnf.Blast.create ~free_init:true step_solver circuit in
-            let step_act = build step k in
-            for i = 0 to k - 1 do
-              for j = i + 1 to k do
-                S.add_clause step_solver [ Cnf.Blast.state_distinct step i j ]
-              done
-            done;
-            (match timed ~case:"step" ~depth:k step_solver [ step_act ] with
-            | S.Unsat ->
-                Obs.instant ~attrs:[ ("depth", Obs.Json.Int k) ] "bmc.proved";
-                Obs.log ~attrs:[ ("k", Obs.Json.Int k) ] Info "bmc.proved";
-                Proved (k, stats k)
+  with_env ~incremental ?solver_config ~stop ~budget ~progress
+    (instrument circuit property)
+  @@ fun env ->
+  let run = start env in
+  match
+    attempt run (fun () ->
+        let front, solver = optimize run ~label:"base" ~opt ~sym property in
+        let base = session run ~label:"base" ?solver ~free_init:false front in
+        let step = session run ~label:"step" ~free_init:true front in
+        let targets = List.map snd base.sprop.asserts in
+        deepen run ~max_depth
+          ~exhausted:(fun st -> Unknown (Bound_exhausted, st))
+          (fun k ->
+            match query run base ~depth:k targets with
             | S.Sat ->
-                retire_solvers ();
-                if Obs.Metrics.enabled () then
-                  Obs.Metrics.record (Lazy.force m_depth_seconds)
-                    (Unix.gettimeofday () -. t_depth);
-                go (k + 1))
-      end
-    in
-    go 0
-  in
-  try run () with
-  | S.Stopped -> raise (Cancelled (stats !cur_depth))
-  | S.Out_of_budget kind ->
-      Unknown
-        ( Budget_exhausted
-            { ub_budget = kind; ub_depth = !cur_depth; ub_case = !cur_case },
-          stats (!cur_depth - 1) )
-  | Fault.Injected site ->
-      Obs.Bus.publish (Obs.Bus.Fault_injected { site });
-      Unknown (Faulted site, stats (!cur_depth - 1))
+                let cex = extract_cex run base ~prop:property k in
+                Fails (Refuted (cex, stats run k))
+            | S.Unsat -> (
+                advance run base ~depth:k targets;
+                match query run step ~depth:k targets with
+                | S.Unsat ->
+                    Obs.instant ~attrs:[ ("depth", Obs.Json.Int k) ] "bmc.proved";
+                    Obs.log ~attrs:[ ("k", Obs.Json.Int k) ] Info "bmc.proved";
+                    Holds (Proved (k, stats run k))
+                | S.Sat ->
+                    advance run step ~depth:k targets;
+                    Deeper)))
+  with
+  | Ok o -> o
+  | Error (reason, st) -> Unknown (reason, st)
 
 let prove ?(max_depth = 30) ?(progress = fun _ -> ()) ?solver_config
     ?(stop = fun () -> false) ?(opt = Opt.O0) ?(budget = no_budget)
     ?(incremental = true) ?(sym = []) ?cache circuit property =
   let engine () =
-    if incremental then
-      prove_incremental ~max_depth ~progress ?solver_config ~stop ~opt ~budget
-        ~sym circuit property
-    else
-      prove_scratch ~max_depth ~progress ?solver_config ~stop ~opt ~budget
-        circuit property
+    prove_engine ~max_depth ~progress ?solver_config ~stop ~opt ~budget
+      ~incremental ~sym circuit property
   in
   match cache with
   | None -> engine ()
@@ -1557,14 +1171,14 @@ let prove ?(max_depth = 30) ?(progress = fun _ -> ()) ?solver_config
       match Cache.find c key with
       | Some (Cache.Proved k) when k >= 0 && k <= max_depth ->
           log_provenance c key;
-          Proved (k, hit_stats k)
+          Proved (k, no_work k)
       | Some (Cache.Cex cc) -> (
           match
             revalidate_cached_cex c key canon full property max_depth cc
           with
           | Some cex ->
               log_provenance c key;
-              Refuted (cex, hit_stats cex.cex_depth)
+              Refuted (cex, no_work cex.cex_depth)
           | None -> miss ())
       | Some (Cache.Proved _) | Some (Cache.Bounded _) ->
           Cache.remove c key;

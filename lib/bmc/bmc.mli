@@ -4,10 +4,27 @@
     every cycle, and named 1-bit [assert] signals, checked on every cycle.
     [check] searches for the shallowest execution in which some assertion
     fails at a cycle while all assumptions hold up to and including that
-    cycle, unrolling one cycle at a time on a single incremental SAT
-    solver. This mirrors the single-cycle SVA properties AutoCC generates
-    ([assume property (spy_mode |-> input_eq)] becomes an unconditional
-    1-bit implication signal).
+    cycle, unrolling one cycle at a time. This mirrors the single-cycle
+    SVA properties AutoCC generates ([assume property (spy_mode |->
+    input_eq)] becomes an unconditional 1-bit implication signal).
+
+    {!check}, {!check_each} and {!prove} all run one depth loop over an
+    {e unroll session} that blasts the circuit, installs assumptions and
+    per-cycle facts, poses one activation-literal query per depth,
+    extracts and replays counterexamples, and maps budget exhaustion,
+    injected faults and cancellation onto verdicts. [~incremental]
+    selects the session's solver policy:
+    - [true] (the default, {e persistent}): one solver per session for
+      the whole run, a template blast stamped out one frame per depth,
+      and clean depths kept as unit facts — learnt clauses and branching
+      activity survive across depths, and the [-O2] sweep borrows the
+      session solver first;
+    - [false] ({e fresh}, the scratch oracle): a fresh solver and a
+      direct re-blast of cycles [0..k] per query — slower (quadratic in
+      depth) but an independent CNF shape and search trajectory, the
+      differential oracle the persistent policy is fuzzed against.
+    Both policies report the same verdicts, counterexample depths and
+    [Unknown] reasons.
 
     Counterexamples carry the full primary-input trace and are replayed on
     the {!Sim} interpreter before being reported, so a returned CEX is
@@ -160,21 +177,11 @@ val check :
   outcome
 (** [check circuit property] with [max_depth] defaulting to 30 cycles.
 
-    [incremental] (default [true]) selects the engine. Incrementally,
-    ONE solver instance lives for the whole run: the [-O2] sweep borrows
-    it first, the transition relation is blasted once as a template and
-    stamped out per depth, and each depth's property is selected by an
-    activation literal that a clean verdict retires — learnt clauses and
-    branching activity survive across depths. With [~incremental:false]
-    every depth gets a fresh solver and a fresh direct re-blast of
-    cycles [0..k]: slower (quadratic in depth) but with an independent
-    CNF shape and search trajectory, which is what makes it the
-    differential oracle the incremental engine is fuzzed against (the
-    [--no-incremental] escape hatch of the CLI). Both engines report the
-    same verdicts, counterexample depths, and [Unknown] reasons; under a
-    budget, exhaustion mid-sequence still reports clean up to depth
-    [k - 1] in either mode (the conflict cap is cumulative across the
-    scratch engine's per-depth solvers).
+    [incremental] (default [true]) selects the solver policy (see the
+    top of this module; [false] is the CLI's [--no-incremental]). Under
+    a budget, exhaustion mid-sequence reports clean up to depth [k - 1]
+    under either policy (the conflict cap is cumulative across the fresh
+    policy's per-depth solvers).
 
     [budget] (default {!no_budget}) bounds the whole call; exhaustion
     returns [Unknown (Budget_exhausted _, stats)] with [stats] honest
@@ -190,6 +197,9 @@ val check :
     [cex_inputs] always describe the original instrumented design.
 
     [progress] is invoked with each depth just before it is solved.
+    Each depth also runs in a [bmc.depth] span, records its wall time in
+    the [bmc.depth_seconds] series and publishes [Depth_solved] (clean)
+    or [Cex_found] on the {!Obs.Bus}.
     Reentrancy contract: it is always called from the domain that called
     [check], never from another domain — {!Parallel} relies on this by
     giving each worker job its own callback and marshalling user-visible
@@ -201,14 +211,14 @@ val check :
     loop and between depths, and a firing stop aborts the run by raising
     {!Cancelled}.
 
-    [sym] (default none; incremental engine only) declares symmetric
+    [sym] (default none; persistent policy only) declares symmetric
     node pairs of a two-universe miter — see {!Cnf.Blast.create}. The
     pairs are remapped through the optimizer's node map (pairs the
     optimizer breaks or merges are dropped) and handed to the template
     blaster, which encodes one universe and derives the other by
     variable renaming. Verdicts and counterexample depths are
     unchanged by construction; the flag only shortens template
-    construction. The scratch engine ignores it, which keeps
+    construction. The fresh policy ignores it, which keeps
     [~incremental:false] a differential oracle for the symmetric path
     too.
 
@@ -245,18 +255,18 @@ val check_each :
     discipline of industrial FPV runners), so one diverging assertion
     degrades to [Unknown] without starving the rest of the sweep.
 
-    Incrementally (the default) the whole sweep shares one solver
-    session: the circuit is optimized once over the union of the
+    Under the persistent policy (the default) the whole sweep shares
+    one session: the circuit is optimized once over the union of the
     assertion cones, the unrolling is shared, and each per-assertion
-    "holds at cycle [c]" verdict is asserted as a unit fact for every
-    later search — sound because such verdicts are unconditional
-    theorems under the assumptions. The per-assertion budget grant is
-    re-based on the session's current counters (fresh deadline,
-    [current + cap] conflict/learnt limits); a budget abort or injected
-    fault poisons the session, which the next assertion silently
-    rebuilds. With [~incremental:false] each assertion runs a fully
-    independent scratch {!check} restricted to its own cone — the
-    historical semantics, kept as the differential oracle.
+    "holds at cycle [c]" verdict is kept as a unit fact for every later
+    search — sound because such verdicts are unconditional theorems
+    under the assumptions. Each assertion's statistics count from its
+    own start, and its budget grant is re-based on the session's
+    current counters (fresh deadline, [current + cap] conflict/learnt
+    limits); a budget abort or injected fault poisons the session,
+    which the next assertion silently rebuilds. Under the fresh policy
+    each assertion runs an independent {!check} restricted to its own
+    cone — the differential oracle.
 
     [sym] and [cache] behave as in {!check}. Cache entries are {e per
     assertion} — keyed on the single-assertion cone, with the same key
@@ -364,14 +374,18 @@ val prove :
   property ->
   induction_outcome
 (** [prove circuit property] interleaves the base case and the inductive
-    step, deepening [k] until one of them answers. [progress],
-    [solver_config], [stop], [opt] and [incremental] behave exactly as
-    in {!check} (including the calling-domain-only contract on
-    [progress]). Incrementally the base and step solvers each persist
-    across rounds (template frames, per-round activation literals, the
-    accumulated loop-free condition) and the [-O2] sweep borrows the
-    base solver; the scratch oracle rebuilds both instances per round
-    with direct unrollings and the full pairwise uniqueness constraint.
+    step, deepening [k] until one of them answers: a base session from
+    reset and a step session from an arbitrary start state, run by the
+    same depth loop as {!check}. [progress], [solver_config], [stop],
+    [opt] and [incremental] behave exactly as in {!check} (including
+    the calling-domain-only contract on [progress], and the per-round
+    [bmc.depth] span, [bmc.depth_seconds] entry and bus event: a round
+    whose base case is clean publishes [Depth_solved], a refutation
+    [Cex_found]). Under the persistent policy each session keeps its
+    solver across rounds (the step one accumulating the loop-free
+    condition) and the [-O2] sweep borrows the base solver; the fresh
+    policy rebuilds both instances per round with direct unrollings
+    and the full pairwise uniqueness constraint.
     The register merges {!Opt} commits are inductive invariants, so they
     are sound under the arbitrary-start-state encoding of the step
     case. [sym] and [cache] behave as in {!check} ([Proved] joins the

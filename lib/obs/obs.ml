@@ -1978,9 +1978,14 @@ module Profile = struct
         in
         List.iter
           (fun tid ->
+            (* A span is written when it ends, so a parent follows its
+               children; on a clock too coarse to tell a parent's start
+               and length from its child's, the later event is the
+               parent — hence the reversal before the stable sort. *)
             let mine =
               List.filter (fun (t, _, _, _) -> t = tid) spans
-              |> List.sort (fun (_, ts1, d1, _) (_, ts2, d2, _) ->
+              |> List.rev
+              |> List.stable_sort (fun (_, ts1, d1, _) (_, ts2, d2, _) ->
                      match compare ts1 ts2 with
                      | 0 -> compare d2 d1
                      | c -> c)

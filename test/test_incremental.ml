@@ -329,6 +329,36 @@ let check_differential seed =
   let scr = Bmc.check ~max_depth ~incremental:false circuit property in
   outcomes_agree property property inc scr
 
+(* [check_each] and [prove] on the same random instances: each
+   assertion's verdict kind and CEX depth, and the k-induction verdict
+   ([Proved k], [Refuted] depth or [Bound_exhausted]), must agree
+   across the persistent and fresh solver policies. *)
+let check_each_differential seed =
+  let circuit, property = gen_case seed in
+  let run incremental = Bmc.check_each ~max_depth:6 ~incremental circuit property in
+  List.for_all2
+    (fun (n1, o1) (n2, o2) ->
+      let sub =
+        { property with Bmc.asserts = List.filter (fun (n, _) -> n = n1) property.Bmc.asserts }
+      in
+      n1 = n2 && outcomes_agree sub sub o1 o2)
+    (run false) (run true)
+
+let describe_induction = function
+  | Bmc.Proved (k, _) -> Printf.sprintf "proved@%d" k
+  | Bmc.Refuted (c, _) -> Printf.sprintf "refuted@%d" c.Bmc.cex_depth
+  | Bmc.Unknown (r, _) -> "unknown:" ^ unknown_to_string r
+
+let prove_differential seed =
+  let circuit, property = gen_case seed in
+  let run incremental = Bmc.prove ~max_depth:6 ~incremental circuit property in
+  let scr = run false and inc = run true in
+  (match inc with
+  | Bmc.Refuted (c, _) ->
+      ignore (Bmc.validate c.Bmc.cex_circuit property c.Bmc.cex_inputs c.Bmc.cex_depth)
+  | _ -> ());
+  describe_induction scr = describe_induction inc
+
 (* The parallel engine at the pinned worker count, incremental workers
    against the sequential scratch oracle. *)
 let check_differential_parallel seed =
@@ -394,6 +424,8 @@ let () =
       ( "fuzz",
         [
           fuzz ~count:300 "incremental == scratch" check_differential;
+          fuzz ~count:300 "check_each incremental == scratch" check_each_differential;
+          fuzz ~count:300 "prove incremental == scratch" prove_differential;
           fuzz ~count:60 "parallel incremental == scratch" check_differential_parallel;
           fuzz ~count:60 "budgeted runs never flip" check_differential_budgeted;
         ] );

@@ -356,6 +356,63 @@ let test_bus_ordering () =
        0. ring);
   Alcotest.(check int) "nothing dropped" 0 (Obs.Bus.dropped ())
 
+(* [Bmc.prove] reports depth progress like [check]: every round whose
+   base case is clean publishes [Depth_solved], a refutation publishes
+   [Cex_found], and every round records [bmc.depth_seconds] — under
+   both solver policies. *)
+let test_bus_prove_progress () =
+  let open Signal in
+  let counter () =
+    let cnt = reg "cnt" 4 in
+    reg_set_next cnt (cnt +: one 4);
+    ( Circuit.create ~name:"counter" ~outputs:[ ("cnt", cnt) ] (),
+      { Bmc.assumes = []; asserts = [ ("ne5", ~:(cnt ==: of_int ~width:4 5)) ] } )
+  in
+  let sticky () =
+    let z = reg "z" 1 in
+    reg_set_next z z;
+    ( Circuit.create ~name:"sticky" ~outputs:[ ("z", z) ] (),
+      { Bmc.assumes = []; asserts = [ ("z0", ~:z) ] } )
+  in
+  let events (circuit, property) incremental =
+    with_bus ~ring_capacity:256 @@ fun () ->
+    Obs.Metrics.enable ();
+    let o = Bmc.prove ~max_depth:10 ~incremental circuit property in
+    let solved, found =
+      List.fold_right
+        (fun (s : Obs.Bus.stamped) (solved, found) ->
+          match s.Obs.Bus.ev with
+          | Obs.Bus.Depth_solved { depth; _ } -> (depth :: solved, found)
+          | Obs.Bus.Cex_found { depth } -> (solved, depth :: found)
+          | _ -> (solved, found))
+        (Obs.Bus.ring ()) ([], [])
+    in
+    let rounds =
+      match Obs.Metrics.find "bmc.depth_seconds" with
+      | Some (Obs.Metrics.Series vs) -> Array.length vs
+      | _ -> 0
+    in
+    (o, solved, found, rounds)
+  in
+  List.iter
+    (fun incremental ->
+      let tag = if incremental then "persistent" else "fresh" in
+      (match events (counter ()) incremental with
+      | Bmc.Refuted (c, _), solved, found, rounds ->
+          Alcotest.(check int) (tag ^ ": refuted at 5") 5 c.Bmc.cex_depth;
+          Alcotest.(check (list int)) (tag ^ ": clean rounds") [ 0; 1; 2; 3; 4 ] solved;
+          Alcotest.(check (list int)) (tag ^ ": cex event") [ 5 ] found;
+          Alcotest.(check int) (tag ^ ": one timing per round") 6 rounds
+      | _ -> Alcotest.failf "%s: counter must be refuted" tag);
+      match events (sticky ()) incremental with
+      | Bmc.Proved (k, _), solved, found, rounds ->
+          Alcotest.(check int) (tag ^ ": proved by 1-induction") 1 k;
+          Alcotest.(check (list int)) (tag ^ ": clean rounds") [ 0; 1 ] solved;
+          Alcotest.(check (list int)) (tag ^ ": no cex event") [] found;
+          Alcotest.(check int) (tag ^ ": one timing per round") 2 rounds
+      | _ -> Alcotest.failf "%s: sticky zero must be proved" tag)
+    [ true; false ]
+
 let test_bus_ring_overflow () =
   with_bus ~ring_capacity:8 @@ fun () ->
   for d = 1 to 20 do
@@ -1062,6 +1119,8 @@ let () =
             test_bus_file_sink_roundtrip;
           Alcotest.test_case "dropped-event counter mirrors the ring" `Quick
             test_bus_dropped_metric;
+          Alcotest.test_case "prove publishes depth progress" `Quick
+            test_bus_prove_progress;
         ] );
       ( "tail",
         [

@@ -160,6 +160,51 @@ let verdict_flip ref_outcome outcome =
   | Bmc.Cex _, Bmc.Bounded_proof _ | Bmc.Bounded_proof _, Bmc.Cex _ -> true
   | Bmc.Unknown _, _ -> true (* the fault-free reference must be conclusive *)
 
+(* [check_each] and [prove] as more fault-fuzz inputs: every answer
+   (per assertion for [check_each]) must equal the fault-free answer of
+   the same policy or be a fault downgrade, [Unknown (Faulted _)]. With
+   [only], the downgrades must name that site. Returns the faults
+   fired. *)
+let describe_outcome = function
+  | Bmc.Cex (c, _) -> Printf.sprintf "cex@%d" c.Bmc.cex_depth
+  | Bmc.Bounded_proof s -> Printf.sprintf "bounded@%d" s.Bmc.depth_reached
+  | Bmc.Unknown (r, _) -> unknown_to_string r
+
+let describe_induction = function
+  | Bmc.Proved (k, _) -> Printf.sprintf "proved@%d" k
+  | Bmc.Refuted (c, _) -> Printf.sprintf "refuted@%d" c.Bmc.cex_depth
+  | Bmc.Unknown (r, _) -> unknown_to_string r
+
+let fault_each_and_prove ~seed ?sites ?only ~rate ~incremental circuit property =
+  let answers () =
+    List.map
+      (fun (n, o) -> ("check_each " ^ n, describe_outcome o))
+      (Bmc.check_each ~max_depth:5 ~incremental circuit property)
+    @ [ ("prove", describe_induction (Bmc.prove ~max_depth:5 ~incremental circuit property)) ]
+  in
+  let reference = answers () in
+  Fault.arm ?sites ~rate ~seed ();
+  let fired = ref 0 in
+  let faulted =
+    Fun.protect
+      ~finally:(fun () ->
+        fired := Fault.fired ();
+        Fault.disarm ())
+      answers
+  in
+  List.iter2
+    (fun (what, r) (_, a) ->
+      let downgrade =
+        match only with
+        | Some site -> a = "fault:" ^ site
+        | None -> String.starts_with ~prefix:"fault:" a
+      in
+      if r <> a && not downgrade then
+        Alcotest.failf "seed %d %s (incremental %b): fault turned %s into %s"
+          seed what incremental r a)
+    reference faulted;
+  !fired
+
 let test_fault_fuzz () =
   (* Random circuits under seeded fault injection, single-domain and
      multi-domain: the governed engine may answer Unknown but must never
@@ -187,7 +232,13 @@ let test_fault_fuzz () =
         in
         if verdict_flip reference outcome then
           Alcotest.failf "seed %d jobs %d: fault flipped the verdict" seed jobs)
-      [ 1; 4 ]
+      [ 1; 4 ];
+    List.iter
+      (fun incremental ->
+        total_fired :=
+          !total_fired
+          + fault_each_and_prove ~seed ~rate:0.05 ~incremental circuit property)
+      [ true; false ]
   done;
   Alcotest.(check bool) "the corpus did exercise fault points" true (!total_fired > 0)
 
@@ -245,14 +296,27 @@ let test_fault_incr_site () =
           Alcotest.failf "wrong unknown reason: %s" (unknown_to_string r)
       | Bmc.Cex _ | Bmc.Bounded_proof _ ->
           Alcotest.fail "a certain fault cannot leave the verdict conclusive");
-      match Bmc.check ~max_depth:8 ~incremental:false circuit property with
+      (match Bmc.check ~max_depth:8 ~incremental:false circuit property with
       | Bmc.Cex (c, _) -> Alcotest.(check int) "scratch unaffected" 5 c.Bmc.cex_depth
       | o ->
           Alcotest.failf "the scratch engine has no bmc.incr site (got %s)"
             (match o with
             | Bmc.Bounded_proof _ -> "bounded proof"
             | Bmc.Unknown (r, _) -> unknown_to_string r
-            | Bmc.Cex _ -> assert false))
+            | Bmc.Cex _ -> assert false));
+      (* check_each and prove run the same depth loop. *)
+      let each incremental =
+        match Bmc.check_each ~max_depth:8 ~incremental circuit property with
+        | [ (_, o) ] -> describe_outcome o
+        | _ -> Alcotest.fail "one assertion, one answer"
+      in
+      let prove incremental =
+        describe_induction (Bmc.prove ~max_depth:8 ~incremental circuit property)
+      in
+      Alcotest.(check string) "persistent check_each faults" "fault:bmc.incr" (each true);
+      Alcotest.(check string) "persistent prove faults" "fault:bmc.incr" (prove true);
+      Alcotest.(check string) "fresh check_each unaffected" "cex@5" (each false);
+      Alcotest.(check string) "fresh prove unaffected" "refuted@5" (prove false))
 
 let test_fault_incr_fuzz () =
   (* Seeded fuzz restricted to the "bmc.incr" site: random circuits on
@@ -289,7 +353,15 @@ let test_fault_incr_fuzz () =
         | Bmc.Unknown (Bmc.Faulted site, _) ->
             Alcotest.(check string) "only the armed site fires" "bmc.incr" site
         | _ -> ())
-      [ 1; 4 ]
+      [ 1; 4 ];
+    total_fired :=
+      !total_fired
+      + fault_each_and_prove ~seed ~sites:[ "bmc.incr" ] ~only:"bmc.incr"
+          ~rate:0.3 ~incremental:true circuit property;
+    (* The fresh policy has no bmc.incr site: same arming, no fault. *)
+    Alcotest.(check int) "fresh check_each and prove pass no bmc.incr site" 0
+      (fault_each_and_prove ~seed ~sites:[ "bmc.incr" ] ~only:"bmc.incr"
+         ~rate:1. ~incremental:false circuit property)
   done;
   Alcotest.(check bool) "the corpus did pass the bmc.incr site" true
     (!total_fired > 0)
