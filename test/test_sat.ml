@@ -322,9 +322,253 @@ let test_last_solve_resets () =
   Alcotest.(check int) "last_solve vars absolute" (S.num_vars s)
     (S.last_solve s).S.s_vars
 
-let qprop name f =
+(* {1 Golden search counters}
+
+   The solver's search is a deterministic function of the clause and
+   solve sequence, so its work counters pin the search itself: a change
+   to the solver's storage that must not change the search (clause
+   layout, watch lists, compaction) has to reproduce these numbers
+   exactly. A change that alters the search on purpose (new heuristics,
+   minimisation, clause tiers) re-records them and says so. *)
+
+type counters = {
+  g_results : string;  (** one letter per query: S = Sat, U = Unsat *)
+  g_conflicts : int;
+  g_decisions : int;
+  g_propagations : int;
+  g_restarts : int;
+  g_reduces : int;
+  g_learned : int;
+}
+
+let letter = function S.Sat -> "S" | S.Unsat -> "U"
+
+let counters s results =
+  let st = S.stats s in
+  {
+    g_results = results;
+    g_conflicts = st.S.s_conflicts;
+    g_decisions = st.S.s_decisions;
+    g_propagations = st.S.s_propagations;
+    g_restarts = st.S.s_restarts;
+    g_reduces = st.S.s_reduces;
+    g_learned = st.S.s_learned_total;
+  }
+
+let pp_counters c =
+  Printf.sprintf
+    "{ g_results = %S; g_conflicts = %d; g_decisions = %d; g_propagations = %d; \
+     g_restarts = %d; g_reduces = %d; g_learned = %d }"
+    c.g_results c.g_conflicts c.g_decisions c.g_propagations c.g_restarts
+    c.g_reduces c.g_learned
+
+let random_3sat ~seed ~nvars ~nclauses =
+  let st = Random.State.make [| seed |] in
+  List.init nclauses (fun _ ->
+      let rec pick acc =
+        if List.length acc = 3 then acc
+        else
+          let v = Random.State.int st nvars in
+          if List.mem_assoc v acc then pick acc
+          else pick ((v, Random.State.bool st) :: acc)
+      in
+      pick [])
+
+let golden_php () =
+  let s = make_solver 42 in
+  add_php s ~pigeons:7 ~holes:6 ~base:0;
+  counters s (letter (S.solve s))
+
+let golden_random () =
+  let nvars = 90 in
+  let s = make_solver nvars in
+  List.iter
+    (fun c -> S.add_clause s (List.map (fun (v, b) -> S.lit v b) c))
+    (random_3sat ~seed:7 ~nvars ~nclauses:384);
+  counters s (letter (S.solve s))
+
+(* An incremental session in the BMC protocol's shape: guarded groups
+   queried under assumption subsets, retired, simplified away, and more
+   groups added on top. The counters are cumulative over the session. *)
+let golden_session () =
+  let nvars = 60 in
+  let s = make_solver nvars in
+  let st = Random.State.make [| 2024 |] in
+  let lits c = List.map (fun (v, b) -> S.lit v b) c in
+  List.iter (fun c -> S.add_clause s (lits c)) (random_3sat ~seed:11 ~nvars ~nclauses:150);
+  let live = ref [] in
+  let results = Buffer.create 16 in
+  let query assumptions =
+    Buffer.add_string results (letter (S.solve ~assumptions s))
+  in
+  for round = 1 to 8 do
+    let act = S.new_act s in
+    List.iter
+      (fun c -> S.add_clause_act s ~act (lits c))
+      (random_3sat ~seed:(100 + round) ~nvars ~nclauses:90);
+    live := act :: !live;
+    let assumptions = List.filter (fun _ -> Random.State.bool st) !live in
+    query (act :: assumptions);
+    query [ act ];
+    if round mod 2 = 0 then begin
+      (match List.rev !live with
+      | oldest :: rest ->
+          S.retire s oldest;
+          live := List.rev rest
+      | [] -> ());
+      S.simplify s
+    end
+  done;
+  counters s (Buffer.contents results)
+
+(* Large enough that the learnt database crosses its 1000-clause
+   watermark, so [reduce_db] runs. *)
+let golden_reduce () =
+  let nvars = 150 in
+  let s = make_solver nvars in
+  List.iter
+    (fun c -> S.add_clause s (List.map (fun (v, b) -> S.lit v b) c))
+    (random_3sat ~seed:3 ~nvars ~nclauses:640);
+  counters s (letter (S.solve s))
+
+(* Recorded on the boxed-clause solver that preceded the flat clause
+   arena; the arena rebuild reproduces them exactly. *)
+let golden =
+  [
+    ( "pigeonhole 7/6",
+      golden_php,
+      { g_results = "U"; g_conflicts = 824; g_decisions = 1008; g_propagations = 10729;
+        g_restarts = 6; g_reduces = 0; g_learned = 823 } );
+    ( "random 3-sat 90/384",
+      golden_random,
+      { g_results = "U"; g_conflicts = 345; g_decisions = 424; g_propagations = 7035;
+        g_restarts = 2; g_reduces = 0; g_learned = 344 } );
+    ( "activation session",
+      golden_session,
+      { g_results = "SSSSUUSSSSUSUSUS"; g_conflicts = 364; g_decisions = 575;
+        g_propagations = 6392; g_restarts = 2; g_reduces = 0; g_learned = 364 } );
+    ( "random 3-sat 150/640 (reduces)",
+      golden_reduce,
+      { g_results = "U"; g_conflicts = 2741; g_decisions = 3293; g_propagations = 82471;
+        g_restarts = 14; g_reduces = 2; g_learned = 2740 } );
+  ]
+
+let test_golden_counters () =
+  List.iter
+    (fun (name, run, expected) ->
+      Alcotest.(check string) name (pp_counters expected) (pp_counters (run ())))
+    golden
+
+(* {1 Compaction fuzz}
+
+   Random activation-literal sessions in the incremental-BMC shape:
+   guarded groups over a few problem variables, queries under random
+   assumption subsets, retirement, [simplify], and more clauses on top,
+   checked against [brute_force] at every query. Pigeonhole groups over
+   their own fresh variables (known unsat while assumed, inert
+   otherwise) supply enough conflicts that the learnt database crosses
+   its watermark, so [reduce_db] and [simplify] both run over clauses
+   that earlier operations deleted. *)
+
+type group = {
+  act : S.lit;
+  small : (int * bool) list list;  (* clauses over the problem variables *)
+  php : bool;  (* a pigeonhole group: unsat whenever assumed *)
+  mutable retired : bool;
+}
+
+(* [Some reduces] when every query agreed with brute force, [None] on
+   the first disagreement. *)
+let session seed =
+  let st = Random.State.make [| seed |] in
+  let nvars = 4 + Random.State.int st 7 in
+  let s = make_solver nvars in
+  let lits c = List.map (fun (v, b) -> S.lit v b) c in
+  let base = ref (random_cnf st nvars (Random.State.int st 8)) in
+  List.iter (fun c -> S.add_clause s (lits c)) !base;
+  let groups = ref [] in
+  let ok = ref true in
+  let query ?with_group () =
+    let assumed =
+      List.filter
+        (fun g ->
+          Some g == with_group
+          || Random.State.int st 4 < if g.retired then 1 else 2)
+        !groups
+    in
+    let result = S.solve ~assumptions:(List.map (fun g -> g.act) assumed) s in
+    let expected =
+      (not (List.exists (fun g -> g.retired || g.php) assumed))
+      && brute_force nvars (!base @ List.concat_map (fun g -> g.small) assumed)
+    in
+    let agrees =
+      match result with
+      | S.Unsat -> not expected
+      | S.Sat ->
+          expected
+          && check_model s !base
+          && List.for_all (fun g -> check_model s g.small) assumed
+    in
+    if not agrees then ok := false
+  in
+  let n_ops = 10 + Random.State.int st 15 in
+  (* Two pigeonhole groups per session, one in each half, so the second
+     one's conflicts land on a database the first one filled (or that a
+     retire + simplify in between emptied again). *)
+  let php_at = [ Random.State.int st (n_ops / 2); (n_ops / 2) + Random.State.int st (n_ops / 2) ] in
+  for op = 0 to n_ops - 1 do
+    match if List.mem op php_at then 2 else Random.State.int st 10 with
+    | 0 | 1 ->
+        let act = S.new_act s in
+        let small = random_cnf st nvars (1 + Random.State.int st 6) in
+        List.iter (fun c -> S.add_clause_act s ~act (lits c)) small;
+        groups := { act; small; php = false; retired = false } :: !groups
+    | 2 ->
+        (* PHP(7,6) costs ~800 conflicts: two of them alive at once push
+           the learnt database past reduce_db's 1000-clause watermark. *)
+        let holes = 6 in
+        let base_var = S.num_vars s in
+        for _ = 1 to (holes + 1) * holes do
+          ignore (S.new_var s)
+        done;
+        let act = S.new_act s in
+        add_php ~act s ~pigeons:(holes + 1) ~holes ~base:base_var;
+        let g = { act; small = []; php = true; retired = false } in
+        groups := g :: !groups;
+        query ~with_group:g ()
+    | 3 -> (
+        match List.filter (fun g -> not g.retired) !groups with
+        | [] -> ()
+        | live ->
+            let g = List.nth live (Random.State.int st (List.length live)) in
+            S.retire s g.act;
+            g.retired <- true)
+    | 4 -> S.simplify s
+    | 5 ->
+        let more = random_cnf st nvars 1 in
+        List.iter (fun c -> S.add_clause s (lits c)) more;
+        base := !base @ more
+    | _ -> query ()
+  done;
+  query ();
+  if !ok then Some (S.stats s).S.s_reduces else None
+
+let prop_session seed = session seed <> None
+
+let test_session_reaches_reduce () =
+  (* The fuzz is only worth its cases if some sessions really reduce the
+     learnt database after deleting clauses. *)
+  let reduced = ref 0 in
+  for seed = 1 to 10 do
+    match session seed with
+    | None -> Alcotest.failf "session %d disagrees with brute force" seed
+    | Some r -> if r > 0 then incr reduced
+  done;
+  if !reduced = 0 then Alcotest.fail "no session ran reduce_db"
+
+let qprop ?(count = 300) name f =
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:300 ~name QCheck.(make Gen.(int_bound 1_000_000)) f)
+    (QCheck.Test.make ~count ~name QCheck.(make Gen.(int_bound 1_000_000)) f)
 
 let () =
   Alcotest.run "sat"
@@ -347,11 +591,15 @@ let () =
             test_learnt_survival;
           Alcotest.test_case "last_solve re-bases per query" `Quick
             test_last_solve_resets;
+          Alcotest.test_case "search counters" `Quick test_golden_counters;
         ] );
       ( "properties",
         [
           qprop "random cnf vs brute force" prop_random_cnf;
           qprop "assumptions vs unit clauses" prop_assumptions;
           qprop "incremental prefixes" prop_incremental;
+          qprop ~count:40 "activation sessions vs brute force" prop_session;
+          Alcotest.test_case "activation sessions reach reduce_db" `Quick
+            test_session_reaches_reduce;
         ] );
     ]
