@@ -8,7 +8,7 @@
 
    Usage: dune exec bench/main.exe [table1|table2|exploit|aes_proof|
                                     fixes|baseline|flush_tdd|parallel|
-                                    opt|incremental|cache|symmetric|
+                                    opt|incremental|sat|cache|symmetric|
                                     campaign|smoke|diff|bechamel|all]
 
    The [parallel] subcommand re-runs representative Table 1 rows on the
@@ -1598,6 +1598,134 @@ let diff_bench base_path fresh_path =
     Printf.printf "     bench diff OK: %d rows within %.2fx+%.3fs of baseline\n"
       (List.length base_rows) ratio floor_s
 
+(* {1 SAT-core benchmark: solver counters and throughput per row}
+
+   The ten Table 1 / Table 2 CEX rows plus the deep Vscale proof [V],
+   each through [Ft.check] at -O1. -O1 has no SAT sweep, so the solver
+   sees the same clause and query sequence on every run and its work
+   counters (conflicts, decisions, propagations, restarts) are
+   deterministic: two commits whose solvers run the same search print
+   identical counters, and only solve_s and props/s move. The counter
+   columns are compared row by row against the committed BENCH_sat.json
+   (read before it is overwritten), so one run answers "same search?"
+   for a solver change. *)
+
+let sat_rows () =
+  let vscale = V.create () in
+  let stage s () = V.ft_for_stage s vscale in
+  let cva6 fixes () = cva6_ft (fixes C.Microreset) in
+  [
+    ("V5", stage V.Arch_pipeline, 8);
+    ("C1", cva6 (C.with_fixes ~fix_c1:false), 15);
+    ("C2", cva6 (C.with_fixes ~fix_c2:false), 11);
+    ("C3", cva6 (C.with_fixes ~fix_c3:false), 11);
+    ("M2", (fun () -> maple_ft { M.fix_m2 = false; fix_m3 = true }), 10);
+    ("A1", (fun () -> Autocc.Ft.generate ~threshold:2 (A.create ())), 12);
+    ("T2.V1", stage V.Default, 8);
+    ("T2.V2", stage V.Arch_regfile, 8);
+    ("T2.V3", stage V.Blackbox_csr, 8);
+    ("T2.V4", stage V.Arch_pc, 8);
+    ("V", stage V.Arch_irq, 9);
+  ]
+
+(* The search-identity fields of one row: verdict, depth and the
+   solver's work counters. *)
+let sat_signature row =
+  let str path =
+    match Json.member path row with Some (Json.Str s) -> s | _ -> "?"
+  in
+  let int path j = match Json.member path j with Some (Json.Int n) -> n | _ -> -1 in
+  let stats = Option.value (Json.member "stats" row) ~default:Json.Null in
+  ( str "verdict",
+    int "depth" row,
+    List.map
+      (fun k -> int k stats)
+      [ "conflicts"; "decisions"; "propagations"; "restarts" ] )
+
+let sat_bench () =
+  header
+    "SAT core — per-row solver counters and throughput at -O1 (counters are the search's fingerprint)";
+  let path = "BENCH_sat.json" in
+  let committed =
+    if Sys.file_exists path then diff_rows (diff_read path) else []
+  in
+  let wanted =
+    match Sys.getenv_opt "AUTOCC_BENCH_ROWS" with
+    | None | Some "" -> List.map (fun (id, _, _) -> id) (sat_rows ())
+    | Some s -> String.split_on_char ',' s
+  in
+  Printf.printf "%-6s %-14s %6s %9s %9s %11s %8s %8s %8s  %s\n" "ROW" "VERDICT"
+    "DEPTH" "CONFL" "DECIS" "PROPS" "SOLVE_S" "MPROP/S" "WALL_S" "VS COMMITTED";
+  let rows =
+    List.filter_map
+      (fun (id, mk_ft, max_depth) ->
+        if not (List.mem id wanted) then None
+        else begin
+          let ft = mk_ft () in
+          let t0 = Unix.gettimeofday () in
+          let outcome = Autocc.Ft.check ~max_depth ~opt:Opt.O1 ft in
+          let wall = Unix.gettimeofday () -. t0 in
+          let st =
+            match outcome with
+            | Bmc.Cex (_, st) | Bmc.Bounded_proof st | Bmc.Unknown (_, st) -> st
+          in
+          let props_per_s =
+            float_of_int st.Bmc.propagations /. Float.max 1e-9 st.Bmc.solve_time
+          in
+          let row =
+            match json_of_outcome outcome ~wall with
+            | Json.Obj fields ->
+                Json.Obj
+                  ((("id", Json.Str id) :: ("max_depth", Json.Int max_depth) :: fields)
+                  @ [ ("props_per_s", Json.Float props_per_s) ])
+            | j -> j
+          in
+          let versus =
+            match List.assoc_opt id committed with
+            | None -> "new row"
+            | Some old ->
+                if sat_signature old = sat_signature row then "same" else "DIFFERS"
+          in
+          let verdict, depth, _ = sat_signature row in
+          Printf.printf "%-6s %-14s %6d %9d %9d %11d %8.3f %8.2f %8.2f  %s\n%!" id
+            verdict depth st.Bmc.conflicts st.Bmc.decisions st.Bmc.propagations
+            st.Bmc.solve_time (props_per_s /. 1e6) wall versus;
+          Some (row, versus)
+        end)
+      (sat_rows ())
+  in
+  let solve = ref 0. and props = ref 0 in
+  List.iter
+    (fun (row, _) ->
+      match Json.member "stats" row with
+      | Some stats ->
+          (match Json.member "solve_s" stats with
+          | Some (Json.Float f) -> solve := !solve +. f
+          | _ -> ());
+          (match Json.member "propagations" stats with
+          | Some (Json.Int n) -> props := !props + n
+          | _ -> ())
+      | None -> ())
+    rows;
+  let differ = List.filter (fun (_, v) -> v = "DIFFERS") rows in
+  print_newline ();
+  Printf.printf "     total: %d propagations in %.3fs solver time = %.2fM props/s\n"
+    !props !solve
+    (float_of_int !props /. Float.max 1e-9 !solve /. 1e6);
+  if committed <> [] then
+    Printf.printf "     counters vs committed %s: %d same, %d differ\n" path
+      (List.length (List.filter (fun (_, v) -> v = "same") rows))
+      (List.length differ);
+  Json.write ~path
+    (Json.Obj
+       [
+         ("bench", Json.Str "sat");
+         ("opt", Json.Str "O1");
+         ("rows", Json.List (List.map fst rows));
+         ("solve_s", Json.Float !solve);
+         ("propagations", Json.Int !props);
+       ])
+
 (* {1 serve: latency/throughput of the crash-isolated service}
 
    Real daemon, real forked workers: one row per pool size over the
@@ -1905,6 +2033,7 @@ let () =
   | "parallel" -> parallel_bench ()
   | "opt" -> opt_bench ()
   | "incremental" -> incremental_bench ()
+  | "sat" -> sat_bench ()
   | "cache" -> cache_bench ()
   | "symmetric" -> symmetric_bench ()
   | "campaign" -> campaign_bench ()
@@ -1921,7 +2050,7 @@ let () =
   | "all" -> all ()
   | other ->
       Printf.eprintf
-        "unknown experiment %s (try table1|table2|exploit|aes_proof|fixes|baseline|latency|flush_tdd|parallel|opt|incremental|cache|symmetric|campaign|robustness|serve|smoke|diff|bechamel|all)\n"
+        "unknown experiment %s (try table1|table2|exploit|aes_proof|fixes|baseline|latency|flush_tdd|parallel|opt|incremental|sat|cache|symmetric|campaign|robustness|serve|smoke|diff|bechamel|all)\n"
         other;
       exit 1);
   ledger_record sub ~t0 ~cpu0

@@ -5,10 +5,36 @@
    2 = false; the value of a literal flips 1<->2 via [lxor 3] when the
    literal is negative.
 
+   Storage. Every clause lives in one flat [int] arena and is named by an
+   integer handle, the arena offset of its header:
+
+     arena.(h)      (size lsl 2) lor deleted_bit lor learnt_bit
+     arena.(h + 1)  learnt clauses: activity slot (see below);
+                    unused by problem clauses
+     arena.(h + 2 .. h + 1 + size)   the literals
+
+   Watch lists, reasons, the trail and [trail_lim] are [int array]s of
+   handles and literals, so propagation, assignment and backtracking store
+   only immediates: no pointer is written (and no write barrier runs) on
+   the hot path. Learnt-clause activities live in the float array
+   [learnt_act], parallel to the [learnts] list; a learnt clause's slot
+   word is its index in that list, so a bump is one unboxed float store.
+
+   Deletion marks a clause's header; watchers of deleted clauses are
+   dropped lazily by [propagate]. When the arena is full, [compact]
+   first slides the live clauses down in arena order (so relative order,
+   and with it every watch list's order, is unchanged), rewriting handles
+   in the watch lists, reasons and clause lists in place; only if that
+   leaves under a quarter of the arena free does the arena grow, by 1.5x.
+
    Invariants:
    - The two watched literals of every live clause are at positions 0 and 1.
    - When a clause becomes the reason of an implied literal, that literal
      is at position 0 (conflict analysis relies on this).
+   - The reason of an assigned variable is a live clause (or [no_clause]);
+     unassigned variables have reason [no_clause].
+   - [clauses] and [learnts] hold live clauses only; [learnts.(k)]'s slot
+     word is [k].
    - The trail holds assigned literals in assignment order; [trail_lim]
      marks decision-level boundaries. Assumption decisions occupy the
      lowest levels during a [solve] call. *)
@@ -82,14 +108,12 @@ let budget_kind_to_string = function
 
 type interrupt = I_stopped | I_budget of budget_kind
 
-type clause = {
-  lits : int array;
-  learnt : bool;
-  mutable cact : float;
-  mutable deleted : bool;
-}
+(* {1 Clause arena layout} *)
 
-let dummy_clause = { lits = [||]; learnt = false; cact = 0.; deleted = true }
+let hdr_words = 2
+let learnt_bit = 1
+let deleted_bit = 2
+let no_clause = -1
 
 type t = {
   config : config;
@@ -97,19 +121,35 @@ type t = {
   stop : unit -> bool; (* polled during propagation; true aborts the search *)
   mutable assigns : int array; (* var -> 0/1/2 *)
   mutable level : int array;
-  mutable reason : clause array; (* dummy_clause = no reason *)
+  mutable reason : int array; (* var -> clause handle, or no_clause *)
   mutable activity : float array;
   mutable polarity : bool array; (* saved phase: last assigned value *)
   mutable heap : int array;
   mutable heap_index : int array; (* -1 when not in heap *)
   mutable heap_size : int;
-  mutable watches : clause Vec.t array; (* indexed by literal *)
+  mutable watches : int array array; (* literal -> clause handles *)
+  mutable watch_size : int array; (* literal -> used prefix of its watches *)
   mutable seen : bool array;
-  trail : int Vec.t;
-  trail_lim : int Vec.t;
+  mutable trail : int array; (* capacity >= nvars: each var is on it once *)
+  mutable trail_size : int;
+  mutable trail_lim : int array;
+  mutable trail_lim_size : int; (* the current decision level *)
   mutable qhead : int;
-  clauses : clause Vec.t;
-  learnts : clause Vec.t;
+  mutable arena : int array;
+  mutable arena_top : int; (* first free word *)
+  mutable arena_wasted : int; (* words held by deleted clauses *)
+  mutable clauses : int array; (* problem clause handles, in addition order *)
+  mutable n_clauses : int;
+  mutable learnts : int array;
+  mutable learnt_act : float array; (* parallel to [learnts] *)
+  mutable n_learnts : int;
+  (* Conflict-analysis scratch, each of capacity >= nvars + 1, reused by
+     every [analyze]: the marked lower-level literals in discovery order,
+     the marked variables, and the learnt clause itself. *)
+  mutable an_lits : int array;
+  mutable an_clear : int array;
+  mutable learnt_buf : int array;
+  mutable learnt_len : int;
   mutable var_inc : float;
   mutable cla_inc : float;
   mutable nvars : int;
@@ -175,19 +215,32 @@ let create ?(config = default_config) ?(stop = fun () -> false) () =
     stop;
     assigns = Array.make 16 0;
     level = Array.make 16 0;
-    reason = Array.make 16 dummy_clause;
+    reason = Array.make 16 no_clause;
     activity = Array.make 16 0.;
     polarity = Array.make 16 config.default_polarity;
     heap = Array.make 16 0;
     heap_index = Array.make 16 (-1);
     heap_size = 0;
-    watches = Array.init 32 (fun _ -> Vec.create dummy_clause);
+    watches = Array.make 32 [||];
+    watch_size = Array.make 32 0;
     seen = Array.make 16 false;
-    trail = Vec.create 0;
-    trail_lim = Vec.create 0;
+    trail = Array.make 16 0;
+    trail_size = 0;
+    trail_lim = Array.make 16 0;
+    trail_lim_size = 0;
     qhead = 0;
-    clauses = Vec.create dummy_clause;
-    learnts = Vec.create dummy_clause;
+    arena = Array.make 1024 0;
+    arena_top = 0;
+    arena_wasted = 0;
+    clauses = Array.make 16 no_clause;
+    n_clauses = 0;
+    learnts = Array.make 16 no_clause;
+    learnt_act = Array.make 16 0.;
+    n_learnts = 0;
+    an_lits = Array.make 17 0;
+    an_clear = Array.make 17 0;
+    learnt_buf = Array.make 17 0;
+    learnt_len = 0;
     var_inc = 1.0;
     cla_inc = 1.0;
     nvars = 0;
@@ -216,8 +269,8 @@ let create ?(config = default_config) ?(stop = fun () -> false) () =
 let set_budget s b = s.budget <- b
 
 let num_vars s = s.nvars
-let num_clauses s = Vec.size s.clauses
-let num_learnts s = Vec.size s.learnts
+let num_clauses s = s.n_clauses
+let num_learnts s = s.n_learnts
 let num_conflicts s = s.conflicts
 let num_decisions s = s.decisions
 let num_propagations s = s.propagations
@@ -225,8 +278,8 @@ let num_propagations s = s.propagations
 let stats s =
   {
     s_vars = s.nvars;
-    s_clauses = Vec.size s.clauses;
-    s_learnts = Vec.size s.learnts;
+    s_clauses = s.n_clauses;
+    s_learnts = s.n_learnts;
     s_conflicts = s.conflicts;
     s_decisions = s.decisions;
     s_propagations = s.propagations;
@@ -242,8 +295,8 @@ let stats s =
 let last_solve s =
   {
     s_vars = s.nvars;
-    s_clauses = Vec.size s.clauses;
-    s_learnts = Vec.size s.learnts;
+    s_clauses = s.n_clauses;
+    s_learnts = s.n_learnts;
     s_conflicts = s.conflicts - s.base_conflicts;
     s_decisions = s.decisions - s.base_decisions;
     s_propagations = s.propagations - s.base_propagations;
@@ -279,7 +332,7 @@ let check_budget s =
   | Some d when s.budget.b_clock () > d -> abort_budget s Wall_clock
   | _ -> ());
   match s.budget.b_learnts with
-  | Some m when Vec.size s.learnts > m -> abort_budget s Memory
+  | Some m when s.n_learnts > m -> abort_budget s Memory
   | _ -> ()
 
 let trip_budget s kind = s.tripped <- Some kind
@@ -359,25 +412,18 @@ let new_var s =
   let n = s.nvars in
   s.assigns <- grow_array s.assigns n 0;
   s.level <- grow_array s.level n 0;
-  s.reason <- grow_array s.reason n dummy_clause;
+  s.reason <- grow_array s.reason n no_clause;
   s.activity <- grow_array s.activity n 0.;
   s.polarity <- grow_array s.polarity n s.config.default_polarity;
   s.heap <- grow_array s.heap n 0;
+  s.heap_index <- grow_array s.heap_index n (-1);
   s.seen <- grow_array s.seen n false;
-  if Array.length s.heap_index < n then begin
-    let old = s.heap_index in
-    let a' = Array.make (max n (2 * Array.length old)) (-1) in
-    Array.blit old 0 a' 0 (Array.length old);
-    s.heap_index <- a'
-  end;
-  if Array.length s.watches < 2 * n then begin
-    let old = s.watches in
-    let a' =
-      Array.init (max (2 * n) (2 * Array.length old)) (fun i ->
-          if i < Array.length old then old.(i) else Vec.create dummy_clause)
-    in
-    s.watches <- a'
-  end;
+  s.trail <- grow_array s.trail n 0;
+  s.an_lits <- grow_array s.an_lits (n + 1) 0;
+  s.an_clear <- grow_array s.an_clear (n + 1) 0;
+  s.learnt_buf <- grow_array s.learnt_buf (n + 1) 0;
+  s.watches <- grow_array s.watches (2 * n) [||];
+  s.watch_size <- grow_array s.watch_size (2 * n) 0;
   heap_insert s v;
   v
 
@@ -385,16 +431,18 @@ let new_var s =
 
 let value_lit s l = match s.assigns.(l lsr 1) with 0 -> 0 | a -> if l land 1 = 0 then a else a lxor 3
 
-let decision_level s = Vec.size s.trail_lim
+let decision_level s = s.trail_lim_size
 
-(* Make literal [l] true with the given reason. Precondition: unassigned. *)
+(* Make literal [l] true with the given reason. Precondition: unassigned
+   (so the trail, sized to the variable count, has room). *)
 let assign s l reason =
   let v = l lsr 1 in
   s.assigns.(v) <- (if l land 1 = 0 then 1 else 2);
-  s.level.(v) <- decision_level s;
+  s.level.(v) <- s.trail_lim_size;
   s.reason.(v) <- reason;
   s.polarity.(v) <- l land 1 = 0;
-  Vec.push s.trail l
+  s.trail.(s.trail_size) <- l;
+  s.trail_size <- s.trail_size + 1
 
 (* Returns false on inconsistency (literal already false). *)
 let enqueue s l reason =
@@ -405,18 +453,24 @@ let enqueue s l reason =
       assign s l reason;
       true
 
+(* Open a decision level at the current end of the trail. *)
+let new_level s =
+  if s.trail_lim_size = Array.length s.trail_lim then
+    s.trail_lim <- grow_array s.trail_lim (s.trail_lim_size + 1) 0;
+  s.trail_lim.(s.trail_lim_size) <- s.trail_size;
+  s.trail_lim_size <- s.trail_lim_size + 1
+
 let cancel_until s lv =
-  if decision_level s > lv then begin
-    let bound = Vec.get s.trail_lim lv in
-    for i = Vec.size s.trail - 1 downto bound do
-      let l = Vec.get s.trail i in
-      let v = l lsr 1 in
+  if s.trail_lim_size > lv then begin
+    let bound = s.trail_lim.(lv) in
+    for i = s.trail_size - 1 downto bound do
+      let v = s.trail.(i) lsr 1 in
       s.assigns.(v) <- 0;
-      s.reason.(v) <- dummy_clause;
+      s.reason.(v) <- no_clause;
       heap_insert s v
     done;
-    Vec.shrink s.trail bound;
-    Vec.shrink s.trail_lim lv;
+    s.trail_size <- bound;
+    s.trail_lim_size <- lv;
     s.qhead <- bound
   end
 
@@ -434,10 +488,16 @@ let bump_var s v =
   end;
   if s.heap_index.(v) >= 0 then sift_up s s.heap_index.(v)
 
-let bump_clause s c =
-  c.cact <- c.cact +. s.cla_inc;
-  if c.cact > 1e20 then begin
-    Vec.iter (fun c -> c.cact <- c.cact *. 1e-20) s.learnts;
+(* Bump the learnt clause whose activity slot is [k]. The rescale covers
+   the [n_learnts] listed clauses: [record_learnt] bumps a new clause
+   before listing it, so its own first bump is never rescaled. *)
+let bump_clause s k =
+  let act = s.learnt_act in
+  act.(k) <- act.(k) +. s.cla_inc;
+  if act.(k) > 1e20 then begin
+    for i = 0 to s.n_learnts - 1 do
+      act.(i) <- act.(i) *. 1e-20
+    done;
     s.cla_inc <- s.cla_inc *. 1e-20
   end
 
@@ -445,193 +505,333 @@ let decay_activities s =
   s.var_inc <- s.var_inc *. (1.0 /. s.config.var_decay);
   s.cla_inc <- s.cla_inc *. cla_decay
 
+(* {1 Arena} *)
+
+let clause_size s c = s.arena.(c) lsr 2
+
+let push_watch s l c =
+  let ws = s.watches.(l) and n = s.watch_size.(l) in
+  if n = Array.length ws then begin
+    let ws' = Array.make (max 4 (2 * n)) no_clause in
+    Array.blit ws 0 ws' 0 n;
+    ws'.(n) <- c;
+    s.watches.(l) <- ws'
+  end
+  else ws.(n) <- c;
+  s.watch_size.(l) <- n + 1
+
+let watch_clause s c =
+  push_watch s s.arena.(c + 2) c;
+  push_watch s s.arena.(c + 3) c
+
+let delete_clause s c =
+  s.arena.(c) <- s.arena.(c) lor deleted_bit;
+  s.arena_wasted <- s.arena_wasted + clause_size s c + hdr_words
+
+(* Slide every live clause down over the deleted ones, keeping arena
+   order, and rewrite every stored handle. Pass 1 leaves each live
+   clause's new handle in its slot word; pass 2 maps the watch lists
+   (dropping watchers of deleted clauses, which [propagate] would skip
+   and drop anyway, so no watch order changes), the reasons and the
+   clause lists; pass 3 moves the clauses (down only, so a move never
+   overwrites a clause not yet moved) and restores the learnt slots. *)
+let compact s =
+  let a = s.arena in
+  let dst = ref 0 and h = ref 0 in
+  while !h < s.arena_top do
+    let n = (a.(!h) lsr 2) + hdr_words in
+    if a.(!h) land deleted_bit = 0 then begin
+      a.(!h + 1) <- !dst;
+      dst := !dst + n
+    end;
+    h := !h + n
+  done;
+  for l = 0 to (2 * s.nvars) - 1 do
+    let ws = s.watches.(l) in
+    let j = ref 0 in
+    for i = 0 to s.watch_size.(l) - 1 do
+      let c = ws.(i) in
+      if a.(c) land deleted_bit = 0 then begin
+        ws.(!j) <- a.(c + 1);
+        incr j
+      end
+    done;
+    s.watch_size.(l) <- !j
+  done;
+  for v = 0 to s.nvars - 1 do
+    let r = s.reason.(v) in
+    if r <> no_clause then s.reason.(v) <- a.(r + 1)
+  done;
+  for i = 0 to s.n_clauses - 1 do
+    s.clauses.(i) <- a.(s.clauses.(i) + 1)
+  done;
+  for k = 0 to s.n_learnts - 1 do
+    s.learnts.(k) <- a.(s.learnts.(k) + 1)
+  done;
+  h := 0;
+  while !h < s.arena_top do
+    let n = (a.(!h) lsr 2) + hdr_words in
+    if a.(!h) land deleted_bit = 0 then Array.blit a !h a a.(!h + 1) n;
+    h := !h + n
+  done;
+  s.arena_top <- !dst;
+  s.arena_wasted <- 0;
+  for k = 0 to s.n_learnts - 1 do
+    a.(s.learnts.(k) + 1) <- k
+  done
+
+(* Store [lits.(0 .. len-1)] as a new clause and return its handle.
+   A full arena is compacted first and grown (by 1.5x) only when that
+   leaves less than a quarter of it free, so growth follows the live
+   clause count, not the deleted one. *)
+let alloc s ~learnt lits len =
+  let need = len + hdr_words in
+  if s.arena_top + need > Array.length s.arena then begin
+    if s.arena_wasted > 0 then compact s;
+    let cap = Array.length s.arena in
+    if s.arena_top + need > cap - (cap / 4) then begin
+      let a' = Array.make (max (cap + (cap / 2)) (s.arena_top + need)) 0 in
+      Array.blit s.arena 0 a' 0 s.arena_top;
+      s.arena <- a'
+    end
+  end;
+  let a = s.arena and c = s.arena_top in
+  a.(c) <- (len lsl 2) lor if learnt then learnt_bit else 0;
+  a.(c + 1) <- no_clause;
+  Array.blit lits 0 a (c + hdr_words) len;
+  s.arena_top <- c + need;
+  c
+
 (* {1 Propagation} *)
 
-exception Conflict of clause
-
+(* Propagate the trail from [qhead] to fixpoint; the conflicting clause's
+   handle, or [no_clause]. *)
 let propagate s =
-  try
-    while s.qhead < Vec.size s.trail do
-      let p = Vec.get s.trail s.qhead in
-      s.qhead <- s.qhead + 1;
-      s.propagations <- s.propagations + 1;
-      (* Cancellation point: cheap modulo check so the poll costs nothing
-         on the hot path; a firing stop or an exhausted budget aborts the
-         whole solve and leaves the solver in an undefined search state
-         (see {!Stopped} / {!Out_of_budget}). *)
-      if s.propagations land 1023 = 0 then begin
-        if s.stop () then abort_stopped s;
-        check_budget s
-      end;
-      let false_lit = neg p in
-      let ws = s.watches.(false_lit) in
-      let n = Vec.size ws in
-      let j = ref 0 in
-      (try
-         let i = ref 0 in
-         while !i < n do
-           let c = Vec.get ws !i in
-           incr i;
-           if not c.deleted then begin
-             (* Ensure the false literal is at position 1. *)
-             if c.lits.(0) = false_lit then begin
-               c.lits.(0) <- c.lits.(1);
-               c.lits.(1) <- false_lit
-             end;
-             let first = c.lits.(0) in
-             if value_lit s first = 1 then begin
-               (* Clause satisfied; keep the watch. *)
-               Vec.set ws !j c;
-               incr j
-             end
-             else begin
-               (* Look for a replacement watch. *)
-               let len = Array.length c.lits in
-               let k = ref 2 in
-               while !k < len && value_lit s c.lits.(!k) = 2 do
-                 incr k
-               done;
-               if !k < len then begin
-                 c.lits.(1) <- c.lits.(!k);
-                 c.lits.(!k) <- false_lit;
-                 Vec.push s.watches.(c.lits.(1)) c
-               end
-               else begin
-                 (* Unit or conflicting. *)
-                 Vec.set ws !j c;
-                 incr j;
-                 if not (enqueue s first c) then begin
-                   (* Conflict: keep the remaining watchers and abort. *)
-                   while !i < n do
-                     Vec.set ws !j (Vec.get ws !i);
-                     incr j;
-                     incr i
-                   done;
-                   Vec.shrink ws !j;
-                   raise (Conflict c)
-                 end
-               end
-             end
-           end
-         done;
-         Vec.shrink ws !j
-       with Conflict _ as e -> raise e)
+  let confl = ref no_clause in
+  while !confl = no_clause && s.qhead < s.trail_size do
+    let p = s.trail.(s.qhead) in
+    s.qhead <- s.qhead + 1;
+    s.propagations <- s.propagations + 1;
+    (* Cancellation point: cheap modulo check so the poll costs nothing
+       on the hot path; a firing stop or an exhausted budget aborts the
+       whole solve and leaves the solver in an undefined search state
+       (see {!Stopped} / {!Out_of_budget}). *)
+    if s.propagations land 1023 = 0 then begin
+      if s.stop () then abort_stopped s;
+      check_budget s
+    end;
+    let false_lit = p lxor 1 in
+    (* Propagation never allocates a clause, so the arena is fixed here,
+       and a replacement watch is never [false_lit], so [ws] is too. *)
+    let a = s.arena in
+    let ws = s.watches.(false_lit) in
+    let n = s.watch_size.(false_lit) in
+    let i = ref 0 and j = ref 0 in
+    while !i < n do
+      let c = ws.(!i) in
+      incr i;
+      let hdr = a.(c) in
+      if hdr land deleted_bit = 0 then begin
+        let w0 = c + hdr_words in
+        (* Ensure the false literal is at position 1. *)
+        if a.(w0) = false_lit then begin
+          a.(w0) <- a.(w0 + 1);
+          a.(w0 + 1) <- false_lit
+        end;
+        let first = a.(w0) in
+        let first_val = value_lit s first in
+        if first_val = 1 then begin
+          (* Clause satisfied; keep the watch. *)
+          ws.(!j) <- c;
+          incr j
+        end
+        else begin
+          (* Look for a replacement watch. *)
+          let stop = w0 + (hdr lsr 2) in
+          let k = ref (w0 + 2) in
+          while !k < stop && value_lit s a.(!k) = 2 do
+            incr k
+          done;
+          if !k < stop then begin
+            let l = a.(!k) in
+            a.(w0 + 1) <- l;
+            a.(!k) <- false_lit;
+            push_watch s l c
+          end
+          else begin
+            (* Unit or conflicting. *)
+            ws.(!j) <- c;
+            incr j;
+            if first_val = 0 then assign s first c
+            else begin
+              (* Conflict: keep the remaining watchers and stop. *)
+              while !i < n do
+                ws.(!j) <- ws.(!i);
+                incr j;
+                incr i
+              done;
+              confl := c
+            end
+          end
+        end
+      end
     done;
-    None
-  with Conflict c -> Some c
+    s.watch_size.(false_lit) <- !j
+  done;
+  !confl
 
 (* {1 Conflict analysis (first UIP)} *)
 
+(* Derive the first-UIP clause of conflict [confl] into
+   [learnt_buf.(0 .. learnt_len-1)] and return its backtrack level. The
+   asserting literal comes first, then the lower-level literals newest
+   discovered first. *)
 let analyze s confl =
-  let learnt = ref [] in
-  let to_clear = ref [] in
+  let a = s.arena and seen = s.seen and level = s.level in
+  let lits = s.an_lits and to_clear = s.an_clear in
+  let n_lits = ref 0 and n_clear = ref 0 in
+  let dl = s.trail_lim_size in
   let counter = ref 0 in
-  let btlevel = ref 0 in
   let p = ref (-1) in
   let confl = ref confl in
-  let idx = ref (Vec.size s.trail - 1) in
+  let idx = ref (s.trail_size - 1) in
   let continue = ref true in
   let first = ref true in
   while !continue do
     let c = !confl in
-    if c.learnt then bump_clause s c;
+    let hdr = a.(c) in
+    if hdr land learnt_bit <> 0 then bump_clause s a.(c + 1);
     let start = if !first then 0 else 1 in
-    for j = start to Array.length c.lits - 1 do
-      let q = c.lits.(j) in
+    for j = c + hdr_words + start to c + hdr_words + (hdr lsr 2) - 1 do
+      let q = a.(j) in
       let v = q lsr 1 in
-      if (not s.seen.(v)) && s.level.(v) > 0 then begin
-        s.seen.(v) <- true;
-        to_clear := v :: !to_clear;
+      if (not seen.(v)) && level.(v) > 0 then begin
+        seen.(v) <- true;
+        to_clear.(!n_clear) <- v;
+        incr n_clear;
         bump_var s v;
-        if s.level.(v) >= decision_level s then incr counter
+        if level.(v) >= dl then incr counter
         else begin
-          learnt := q :: !learnt;
-          if s.level.(v) > !btlevel then btlevel := s.level.(v)
+          lits.(!n_lits) <- q;
+          incr n_lits
         end
       end
     done;
     (* Walk the trail back to the next marked literal. *)
-    while not s.seen.((Vec.get s.trail !idx) lsr 1) do
+    while not seen.(s.trail.(!idx) lsr 1) do
       decr idx
     done;
-    p := Vec.get s.trail !idx;
+    p := s.trail.(!idx);
     decr idx;
-    s.seen.(!p lsr 1) <- false;
+    seen.(!p lsr 1) <- false;
     decr counter;
     first := false;
     if !counter = 0 then continue := false else confl := s.reason.(!p lsr 1)
   done;
-  (* Conflict-clause minimization: a literal is redundant when its reason's
-     antecedents are all either at level 0, already in the clause (still
-     marked seen), or recursively redundant. Memoized per variable; the
-     reason graph is acyclic towards earlier trail positions. *)
-  let redundant q =
-    (* Local (non-recursive) check, as in basic MiniSat minimization. *)
-    let c = s.reason.(q lsr 1) in
-    c != dummy_clause
-    && Array.length c.lits > 1
-    &&
-    let ok = ref true in
-    for j = 1 to Array.length c.lits - 1 do
-      let w = c.lits.(j) lsr 1 in
-      if s.level.(w) > 0 && not s.seen.(w) then ok := false
-    done;
-    !ok
-  in
-  let learnt = List.filter (fun q -> not (redundant q)) !learnt in
-  let btlevel =
-    List.fold_left (fun acc q -> max acc s.level.(q lsr 1)) 0 learnt
-  in
-  List.iter (fun v -> s.seen.(v) <- false) !to_clear;
-  (Array.of_list (neg !p :: learnt), btlevel)
+  (* Local conflict-clause minimization, as in basic MiniSat: a literal
+     is dropped when every other literal of its reason is at level 0 or
+     already in the clause (its variable still marked seen). No
+     recursion into the reasons' own antecedents. *)
+  let out = s.learnt_buf in
+  out.(0) <- neg !p;
+  let len = ref 1 and btlevel = ref 0 in
+  for i = !n_lits - 1 downto 0 do
+    let q = lits.(i) in
+    let r = s.reason.(q lsr 1) in
+    let redundant =
+      r <> no_clause
+      && (a.(r) lsr 2) > 1
+      &&
+      let ok = ref true in
+      for j = r + hdr_words + 1 to r + hdr_words + (a.(r) lsr 2) - 1 do
+        let w = a.(j) lsr 1 in
+        if level.(w) > 0 && not seen.(w) then ok := false
+      done;
+      !ok
+    in
+    if not redundant then begin
+      out.(!len) <- q;
+      incr len;
+      if level.(q lsr 1) > !btlevel then btlevel := level.(q lsr 1)
+    end
+  done;
+  for i = 0 to !n_clear - 1 do
+    seen.(to_clear.(i)) <- false
+  done;
+  s.learnt_len <- !len;
+  !btlevel
 
 (* {1 Clause management} *)
 
-let watch_clause s c =
-  Vec.push s.watches.(c.lits.(0)) c;
-  Vec.push s.watches.(c.lits.(1)) c
-
 let is_locked s c =
-  Array.length c.lits > 0
-  &&
-  let v = c.lits.(0) lsr 1 in
-  s.reason.(v) == c && s.assigns.(v) <> 0
+  let v = s.arena.(c + hdr_words) lsr 1 in
+  s.reason.(v) = c && s.assigns.(v) <> 0
+
+(* Rebuild [learnts] from the slots [order] names, dropping the clauses
+   [drop] selects (which are deleted) and renumbering the slots of the
+   rest in their new order. *)
+let refill_learnts s order drop =
+  let old = s.learnts and old_act = s.learnt_act in
+  let learnts = Array.make (Array.length old) no_clause in
+  let act = Array.make (Array.length old) 0. in
+  let m = ref 0 in
+  Array.iteri
+    (fun i k ->
+      let c = old.(k) in
+      if drop i c then delete_clause s c
+      else begin
+        learnts.(!m) <- c;
+        act.(!m) <- old_act.(k);
+        s.arena.(c + 1) <- !m;
+        incr m
+      end)
+    order;
+  s.learnts <- learnts;
+  s.learnt_act <- act;
+  s.n_learnts <- !m
 
 let reduce_db s =
   s.reduces <- s.reduces + 1;
-  (* Remove the less active half of the learnt clauses. *)
-  let arr = Array.init (Vec.size s.learnts) (Vec.get s.learnts) in
-  Array.sort (fun a b -> compare a.cact b.cact) arr;
-  let limit = Array.length arr / 2 in
-  Array.iteri
-    (fun i c ->
-      if i < limit && Array.length c.lits > 2 && not (is_locked s c) then
-        c.deleted <- true)
-    arr;
-  let keep = Array.to_list arr |> List.filter (fun c -> not c.deleted) in
-  Vec.clear s.learnts;
-  List.iter (Vec.push s.learnts) keep
+  (* Remove the less active half of the learnt clauses; the survivors
+     stay in activity order. *)
+  let act = s.learnt_act in
+  let order = Array.init s.n_learnts Fun.id in
+  Array.sort (fun x y -> Float.compare act.(x) act.(y)) order;
+  let limit = s.n_learnts / 2 in
+  refill_learnts s order (fun i c ->
+      i < limit && clause_size s c > 2 && not (is_locked s c))
 
-let record_learnt s lits btlevel =
+let record_learnt s btlevel =
   s.learned_total <- s.learned_total + 1;
   cancel_until s btlevel;
-  if Array.length lits = 1 then begin
-    if not (enqueue s lits.(0) dummy_clause) then s.ok <- false
+  let lits = s.learnt_buf and len = s.learnt_len in
+  if len = 1 then begin
+    if not (enqueue s lits.(0) no_clause) then s.ok <- false
   end
   else begin
     (* Position 1 must hold a literal from the backtrack level so the
        watches are on the two highest-level literals. *)
     let best = ref 1 in
-    for k = 2 to Array.length lits - 1 do
+    for k = 2 to len - 1 do
       if s.level.(lits.(!best) lsr 1) < s.level.(lits.(k) lsr 1) then best := k
     done;
     let tmp = lits.(1) in
     lits.(1) <- lits.(!best);
     lits.(!best) <- tmp;
-    let c = { lits; learnt = true; cact = 0.; deleted = false } in
-    bump_clause s c;
+    let c = alloc s ~learnt:true lits len in
+    let k = s.n_learnts in
+    if k = Array.length s.learnts then begin
+      s.learnts <- grow_array s.learnts (k + 1) no_clause;
+      s.learnt_act <- grow_array s.learnt_act (k + 1) 0.
+    end;
+    s.learnts.(k) <- c;
+    s.learnt_act.(k) <- 0.;
+    s.arena.(c + 1) <- k;
+    (* Bumped before it is counted in [n_learnts], so a rescale its own
+       bump triggers leaves it out. *)
+    bump_clause s k;
+    s.n_learnts <- k + 1;
     watch_clause s c;
-    Vec.push s.learnts c;
     ignore (enqueue s lits.(0) c)
   end
 
@@ -649,13 +849,15 @@ let add_clause s lits =
       let lits = List.filter (fun l -> value_lit s l <> 2) lits in
       match lits with
       | [] -> s.ok <- false
-      | [ l ] -> if not (enqueue s l dummy_clause) then s.ok <- false
+      | [ l ] -> if not (enqueue s l no_clause) then s.ok <- false
       | _ ->
-          let c =
-            { lits = Array.of_list lits; learnt = false; cact = 0.; deleted = false }
-          in
+          let arr = Array.of_list lits in
+          let c = alloc s ~learnt:false arr (Array.length arr) in
           watch_clause s c;
-          Vec.push s.clauses c
+          if s.n_clauses = Array.length s.clauses then
+            s.clauses <- grow_array s.clauses (s.n_clauses + 1) no_clause;
+          s.clauses.(s.n_clauses) <- c;
+          s.n_clauses <- s.n_clauses + 1
     end
   end
 
@@ -698,8 +900,8 @@ let decide s =
   if v < 0 then false
   else begin
     s.decisions <- s.decisions + 1;
-    Vec.push s.trail_lim (Vec.size s.trail);
-    assign s (lit v s.polarity.(v)) dummy_clause;
+    new_level s;
+    assign s (lit v s.polarity.(v)) no_clause;
     true
   end
 
@@ -722,7 +924,7 @@ let solve ?(assumptions = []) s =
     | Some cap when s.conflicts >= cap -> abort_budget s Conflicts
     | _ -> ());
     let assumptions = Array.of_list assumptions in
-    let max_learnts = ref (float_of_int (max 1000 (Vec.size s.clauses / 3))) in
+    let max_learnts = ref (float_of_int (max 1000 (s.n_clauses / 3))) in
     let restart = ref 0 in
     let status = ref None in
     while !status = None do
@@ -734,53 +936,53 @@ let solve ?(assumptions = []) s =
       (* One restart period. *)
       let inner_done = ref false in
       while (not !inner_done) && !status = None do
-        match propagate s with
-        | Some confl ->
-            s.conflicts <- s.conflicts + 1;
-            incr conflict_count;
-            (match s.budget.b_conflicts with
-            | Some cap when s.conflicts >= cap -> abort_budget s Conflicts
-            | _ -> ());
-            (match s.sample_hook with
-            | Some hook when s.conflicts mod s.sample_every = 0 -> hook (stats s)
-            | _ -> ());
-            if decision_level s = 0 then begin
-              s.ok <- false;
-              status := Some Unsat
-            end
-            else begin
-              let learnt, btlevel = analyze s confl in
-              record_learnt s learnt btlevel;
-              decay_activities s;
-              if not s.ok then status := Some Unsat
-            end
-        | None ->
-            if !conflict_count >= budget then begin
-              s.restarts <- s.restarts + 1;
-              cancel_until s 0;
-              inner_done := true
-            end
-            else if float_of_int (Vec.size s.learnts) > !max_learnts then begin
-              max_learnts := !max_learnts *. 1.5;
-              reduce_db s
-            end
-            else if decision_level s < Array.length assumptions then begin
-              let p = assumptions.(decision_level s) in
-              match value_lit s p with
-              | 1 ->
-                  (* Already true: open a dummy decision level. *)
-                  Vec.push s.trail_lim (Vec.size s.trail)
-              | 2 -> status := Some Unsat
-              | _ ->
-                  Vec.push s.trail_lim (Vec.size s.trail);
-                  assign s p dummy_clause
-            end
-            else if not (decide s) then begin
-              (* All variables assigned: a model. *)
-              s.model <- Array.init s.nvars (fun v -> s.assigns.(v) = 1);
-              s.model_valid <- true;
-              status := Some Sat
-            end
+        let confl = propagate s in
+        if confl <> no_clause then begin
+          s.conflicts <- s.conflicts + 1;
+          incr conflict_count;
+          (match s.budget.b_conflicts with
+          | Some cap when s.conflicts >= cap -> abort_budget s Conflicts
+          | _ -> ());
+          (match s.sample_hook with
+          | Some hook when s.conflicts mod s.sample_every = 0 -> hook (stats s)
+          | _ -> ());
+          if decision_level s = 0 then begin
+            s.ok <- false;
+            status := Some Unsat
+          end
+          else begin
+            let btlevel = analyze s confl in
+            record_learnt s btlevel;
+            decay_activities s;
+            if not s.ok then status := Some Unsat
+          end
+        end
+        else if !conflict_count >= budget then begin
+          s.restarts <- s.restarts + 1;
+          cancel_until s 0;
+          inner_done := true
+        end
+        else if float_of_int s.n_learnts > !max_learnts then begin
+          max_learnts := !max_learnts *. 1.5;
+          reduce_db s
+        end
+        else if decision_level s < Array.length assumptions then begin
+          let p = assumptions.(decision_level s) in
+          match value_lit s p with
+          | 1 ->
+              (* Already true: open a dummy decision level. *)
+              new_level s
+          | 2 -> status := Some Unsat
+          | _ ->
+              new_level s;
+              assign s p no_clause
+        end
+        else if not (decide s) then begin
+          (* All variables assigned: a model. *)
+          s.model <- Array.init s.nvars (fun v -> s.assigns.(v) = 1);
+          s.model_valid <- true;
+          status := Some Sat
+        end
       done
     done;
     cancel_until s 0;
@@ -808,41 +1010,50 @@ let add_clause_act s ~act lits = add_clause s (neg act :: lits)
 let retire s act = add_clause s [ neg act ]
 
 (* Delete every clause satisfied at level 0 (retired groups, subsumed
-   problem clauses, satisfied learnts) and rebuild the watch lists.
+   problem clauses, satisfied learnts), compact the arena and rebuild
+   the watch lists: problem clauses, then learnts, each in list order.
 
    Safe at decision level 0 only. Reason clauses of level-0 implied
    literals are kept ([is_locked]) even when satisfied: level-0 vars are
    never unassigned, and keeping their reasons means no dangling
-   pointer question ever arises. Every surviving clause's watch
+   handle question ever arises. Every surviving clause's watch
    positions 0/1 are non-false at the level-0 fixpoint (propagation
    moved the watches, or the clause was satisfied and is now gone), so
    re-watching positions 0 and 1 preserves the watch invariant. *)
 let simplify s =
   if s.ok then begin
     assert (decision_level s = 0);
-    (match propagate s with Some _ -> s.ok <- false | None -> ());
+    if propagate s <> no_clause then s.ok <- false;
     if s.ok then begin
-      let compact vec =
-        let keep = ref [] in
-        Vec.iter
-          (fun c ->
-            if
-              (not c.deleted)
-              && (not (is_locked s c))
-              && Array.exists (fun l -> value_lit s l = 1) c.lits
-            then c.deleted <- true;
-            if not c.deleted then keep := c :: !keep)
-          vec;
-        Vec.clear vec;
-        List.iter (Vec.push vec) (List.rev !keep)
+      let satisfied c =
+        let sat = ref false in
+        for j = c + hdr_words to c + hdr_words + clause_size s c - 1 do
+          if value_lit s s.arena.(j) = 1 then sat := true
+        done;
+        !sat
       in
-      compact s.clauses;
-      compact s.learnts;
-      for l = 0 to (2 * s.nvars) - 1 do
-        Vec.clear s.watches.(l)
+      let collect c = (not (is_locked s c)) && satisfied c in
+      let m = ref 0 in
+      for i = 0 to s.n_clauses - 1 do
+        let c = s.clauses.(i) in
+        if collect c then delete_clause s c
+        else begin
+          s.clauses.(!m) <- c;
+          incr m
+        end
       done;
-      Vec.iter (fun c -> watch_clause s c) s.clauses;
-      Vec.iter (fun c -> watch_clause s c) s.learnts
+      s.n_clauses <- !m;
+      refill_learnts s (Array.init s.n_learnts Fun.id) (fun _ c -> collect c);
+      for l = 0 to (2 * s.nvars) - 1 do
+        s.watch_size.(l) <- 0
+      done;
+      if s.arena_wasted > 0 then compact s;
+      for i = 0 to s.n_clauses - 1 do
+        watch_clause s s.clauses.(i)
+      done;
+      for k = 0 to s.n_learnts - 1 do
+        watch_clause s s.learnts.(k)
+      done
     end
   end
 
@@ -852,5 +1063,5 @@ let pp_stats fmt s =
   Format.fprintf fmt
     "vars=%d clauses=%d learnts=%d conflicts=%d decisions=%d propagations=%d \
      restarts=%d reduces=%d"
-    s.nvars (Vec.size s.clauses) (Vec.size s.learnts) s.conflicts s.decisions
-    s.propagations s.restarts s.reduces
+    s.nvars s.n_clauses s.n_learnts s.conflicts s.decisions s.propagations
+    s.restarts s.reduces
