@@ -1,31 +1,38 @@
 (* CDCL SAT solver in the MiniSat lineage.
 
    Literal encoding: literal [2*v] is variable [v], literal [2*v+1] is its
-   negation. Assignment encoding per variable: 0 = unassigned, 1 = true,
-   2 = false; the value of a literal flips 1<->2 via [lxor 3] when the
-   literal is negative.
+   negation. Values are kept per literal: [values.(l)] is 0 = unassigned,
+   1 = true, 2 = false, and [assign] writes both [l] and [neg l], so the
+   propagation loop reads a literal's value with one array load.
 
-   Storage. Every clause lives in one flat [int] arena and is named by an
-   integer handle, the arena offset of its header:
+   Storage. Every clause lives in one [int] arena and is named by an
+   integer handle, [page lsl page_bits lor offset], the position of its
+   header:
 
-     arena.(h)      (size lsl 2) lor deleted_bit lor learnt_bit
-     arena.(h + 1)  learnt clauses: activity slot (see below);
-                    unused by problem clauses
-     arena.(h + 2 .. h + 1 + size)   the literals
+     word 0   (size lsl 2) lor deleted_bit lor learnt_bit
+     word 1   learnt clauses: activity slot (see below);
+              unused by problem clauses
+     word 2 ..  the literals, the watched pair first
 
-   Watch lists, reasons, the trail and [trail_lim] are [int array]s of
-   handles and literals, so propagation, assignment and backtracking store
+   The arena is a sequence of pages, each an [int array] holding whole
+   clauses, and handles grow with arena order. Watch lists, reasons,
+   values, the trail and [trail_lim] are [int array]s of handles,
+   literals and levels, so propagation, assignment and backtracking store
    only immediates: no pointer is written (and no write barrier runs) on
    the hot path. Learnt-clause activities live in the float array
    [learnt_act], parallel to the [learnts] list; a learnt clause's slot
    word is its index in that list, so a bump is one unboxed float store.
 
    Deletion marks a clause's header; watchers of deleted clauses are
-   dropped lazily by [propagate]. When the arena is full, [compact]
-   first slides the live clauses down in arena order (so relative order,
-   and with it every watch list's order, is unchanged), rewriting handles
-   in the watch lists, reasons and clause lists in place; only if that
-   leaves under a quarter of the arena free does the arena grow, by 1.5x.
+   dropped lazily by [propagate]. When no page has room, [compact] first
+   slides the live clauses towards the arena's start in arena order (so
+   relative order, and with it every watch list's order, is unchanged),
+   rewriting handles in the watch lists, reasons and clause lists in
+   place; only if that leaves under a quarter of the arena free does the
+   arena grow, by one page of half its capacity (1.5x). Growing copies
+   nothing: a flat array grown by copying leaves each superseded copy to
+   the major GC, which held the heap peak ~25% above the boxed-clause
+   solver's on the Table 2 rows; pages keep it below.
 
    Invariants:
    - The two watched literals of every live clause are at positions 0 and 1.
@@ -35,6 +42,8 @@
      unassigned variables have reason [no_clause].
    - [clauses] and [learnts] hold live clauses only; [learnts.(k)]'s slot
      word is [k].
+   - Pages after [cur_page] are empty, so new clauses always land after
+     every existing one.
    - The trail holds assigned literals in assignment order; [trail_lim]
      marks decision-level boundaries. Assumption decisions occupy the
      lowest levels during a [solve] call. *)
@@ -114,12 +123,14 @@ let hdr_words = 2
 let learnt_bit = 1
 let deleted_bit = 2
 let no_clause = -1
+let page_bits = 32
+let page_mask = (1 lsl page_bits) - 1
 
 type t = {
   config : config;
   rng : Random.State.t;
   stop : unit -> bool; (* polled during propagation; true aborts the search *)
-  mutable assigns : int array; (* var -> 0/1/2 *)
+  mutable values : int array; (* literal -> 0/1/2 *)
   mutable level : int array;
   mutable reason : int array; (* var -> clause handle, or no_clause *)
   mutable activity : float array;
@@ -135,8 +146,9 @@ type t = {
   mutable trail_lim : int array;
   mutable trail_lim_size : int; (* the current decision level *)
   mutable qhead : int;
-  mutable arena : int array;
-  mutable arena_top : int; (* first free word *)
+  mutable pages : int array array; (* the arena, in handle order *)
+  mutable page_used : int array; (* page -> words in use from its start *)
+  mutable cur_page : int; (* page taking new clauses; later ones are empty *)
   mutable arena_wasted : int; (* words held by deleted clauses *)
   mutable clauses : int array; (* problem clause handles, in addition order *)
   mutable n_clauses : int;
@@ -213,7 +225,7 @@ let create ?(config = default_config) ?(stop = fun () -> false) () =
     config;
     rng = Random.State.make [| config.seed; 0x5a7; config.seed lxor 0x2c9 |];
     stop;
-    assigns = Array.make 16 0;
+    values = Array.make 32 0;
     level = Array.make 16 0;
     reason = Array.make 16 no_clause;
     activity = Array.make 16 0.;
@@ -229,8 +241,9 @@ let create ?(config = default_config) ?(stop = fun () -> false) () =
     trail_lim = Array.make 16 0;
     trail_lim_size = 0;
     qhead = 0;
-    arena = Array.make 1024 0;
-    arena_top = 0;
+    pages = [| Array.make 1024 0 |];
+    page_used = [| 0 |];
+    cur_page = 0;
     arena_wasted = 0;
     clauses = Array.make 16 no_clause;
     n_clauses = 0;
@@ -410,7 +423,7 @@ let new_var s =
   let v = s.nvars in
   s.nvars <- v + 1;
   let n = s.nvars in
-  s.assigns <- grow_array s.assigns n 0;
+  s.values <- grow_array s.values (2 * n) 0;
   s.level <- grow_array s.level n 0;
   s.reason <- grow_array s.reason n no_clause;
   s.activity <- grow_array s.activity n 0.;
@@ -429,7 +442,8 @@ let new_var s =
 
 (* {1 Values and assignment} *)
 
-let value_lit s l = match s.assigns.(l lsr 1) with 0 -> 0 | a -> if l land 1 = 0 then a else a lxor 3
+let value_lit s l = s.values.(l)
+let var_value s v = s.values.(2 * v)
 
 let decision_level s = s.trail_lim_size
 
@@ -437,7 +451,8 @@ let decision_level s = s.trail_lim_size
    (so the trail, sized to the variable count, has room). *)
 let assign s l reason =
   let v = l lsr 1 in
-  s.assigns.(v) <- (if l land 1 = 0 then 1 else 2);
+  s.values.(l) <- 1;
+  s.values.(l lxor 1) <- 2;
   s.level.(v) <- s.trail_lim_size;
   s.reason.(v) <- reason;
   s.polarity.(v) <- l land 1 = 0;
@@ -465,7 +480,8 @@ let cancel_until s lv =
     let bound = s.trail_lim.(lv) in
     for i = s.trail_size - 1 downto bound do
       let v = s.trail.(i) lsr 1 in
-      s.assigns.(v) <- 0;
+      s.values.(2 * v) <- 0;
+      s.values.((2 * v) + 1) <- 0;
       s.reason.(v) <- no_clause;
       heap_insert s v
     done;
@@ -507,7 +523,10 @@ let decay_activities s =
 
 (* {1 Arena} *)
 
-let clause_size s c = s.arena.(c) lsr 2
+(* Word [i] of clause [c] (0 = header, 1 = slot, 2.. = literals). *)
+let word s c i = s.pages.(c lsr page_bits).((c land page_mask) + i)
+let set_word s c i x = s.pages.(c lsr page_bits).((c land page_mask) + i) <- x
+let clause_size s c = word s c 0 lsr 2
 
 let push_watch s l c =
   let ws = s.watches.(l) and n = s.watch_size.(l) in
@@ -521,38 +540,57 @@ let push_watch s l c =
   s.watch_size.(l) <- n + 1
 
 let watch_clause s c =
-  push_watch s s.arena.(c + 2) c;
-  push_watch s s.arena.(c + 3) c
+  push_watch s (word s c hdr_words) c;
+  push_watch s (word s c (hdr_words + 1)) c
 
 let delete_clause s c =
-  s.arena.(c) <- s.arena.(c) lor deleted_bit;
+  set_word s c 0 (word s c 0 lor deleted_bit);
   s.arena_wasted <- s.arena_wasted + clause_size s c + hdr_words
+
+(* Visit the clauses in arena order: [f page offset words] for each,
+   [words] counting the header. *)
+let iter_clauses s f =
+  Array.iteri
+    (fun k a ->
+      let h = ref 0 in
+      while !h < s.page_used.(k) do
+        let n = (a.(!h) lsr 2) + hdr_words in
+        f a !h n;
+        h := !h + n
+      done)
+    s.pages
 
 (* Slide every live clause down over the deleted ones, keeping arena
    order, and rewrite every stored handle. Pass 1 leaves each live
-   clause's new handle in its slot word; pass 2 maps the watch lists
-   (dropping watchers of deleted clauses, which [propagate] would skip
-   and drop anyway, so no watch order changes), the reasons and the
-   clause lists; pass 3 moves the clauses (down only, so a move never
-   overwrites a clause not yet moved) and restores the learnt slots. *)
+   clause's new handle in its slot word (moving on to the next page
+   where a clause does not fit the rest of one); pass 2 maps the watch
+   lists (dropping watchers of deleted clauses, which [propagate] would
+   skip and drop anyway, so no watch order changes), the reasons and the
+   clause lists; pass 3 moves the clauses (towards the arena's start
+   only, so a move never overwrites a clause not yet moved) and restores
+   the learnt slots. Pages past the last filled one are left empty. *)
 let compact s =
-  let a = s.arena in
-  let dst = ref 0 and h = ref 0 in
-  while !h < s.arena_top do
-    let n = (a.(!h) lsr 2) + hdr_words in
-    if a.(!h) land deleted_bit = 0 then begin
-      a.(!h + 1) <- !dst;
-      dst := !dst + n
-    end;
-    h := !h + n
-  done;
+  let pages = s.pages in
+  let used = Array.make (Array.length pages) 0 in
+  let dp = ref 0 and doff = ref 0 in
+  iter_clauses s (fun a h n ->
+      if a.(h) land deleted_bit = 0 then begin
+        while !doff + n > Array.length pages.(!dp) do
+          used.(!dp) <- !doff;
+          incr dp;
+          doff := 0
+        done;
+        a.(h + 1) <- (!dp lsl page_bits) lor !doff;
+        doff := !doff + n
+      end);
+  used.(!dp) <- !doff;
   for l = 0 to (2 * s.nvars) - 1 do
     let ws = s.watches.(l) in
     let j = ref 0 in
     for i = 0 to s.watch_size.(l) - 1 do
       let c = ws.(i) in
-      if a.(c) land deleted_bit = 0 then begin
-        ws.(!j) <- a.(c + 1);
+      if word s c 0 land deleted_bit = 0 then begin
+        ws.(!j) <- word s c 1;
         incr j
       end
     done;
@@ -560,47 +598,60 @@ let compact s =
   done;
   for v = 0 to s.nvars - 1 do
     let r = s.reason.(v) in
-    if r <> no_clause then s.reason.(v) <- a.(r + 1)
+    if r <> no_clause then s.reason.(v) <- word s r 1
   done;
   for i = 0 to s.n_clauses - 1 do
-    s.clauses.(i) <- a.(s.clauses.(i) + 1)
+    s.clauses.(i) <- word s s.clauses.(i) 1
   done;
   for k = 0 to s.n_learnts - 1 do
-    s.learnts.(k) <- a.(s.learnts.(k) + 1)
+    s.learnts.(k) <- word s s.learnts.(k) 1
   done;
-  h := 0;
-  while !h < s.arena_top do
-    let n = (a.(!h) lsr 2) + hdr_words in
-    if a.(!h) land deleted_bit = 0 then Array.blit a !h a a.(!h + 1) n;
-    h := !h + n
-  done;
-  s.arena_top <- !dst;
+  iter_clauses s (fun a h n ->
+      if a.(h) land deleted_bit = 0 then
+        let c = a.(h + 1) in
+        Array.blit a h pages.(c lsr page_bits) (c land page_mask) n);
+  s.page_used <- used;
+  s.cur_page <- !dp;
   s.arena_wasted <- 0;
   for k = 0 to s.n_learnts - 1 do
-    a.(s.learnts.(k) + 1) <- k
+    set_word s s.learnts.(k) 1 k
   done
 
+(* Point [cur_page] at the first page from it on with room for [need]
+   words; false when there is none. Pages after [cur_page] are empty. *)
+let rec find_room s need =
+  let k = s.cur_page in
+  if s.page_used.(k) + need <= Array.length s.pages.(k) then true
+  else if k + 1 < Array.length s.pages then begin
+    s.cur_page <- k + 1;
+    find_room s need
+  end
+  else false
+
 (* Store [lits.(0 .. len-1)] as a new clause and return its handle.
-   A full arena is compacted first and grown (by 1.5x) only when that
-   leaves less than a quarter of it free, so growth follows the live
-   clause count, not the deleted one. *)
+   When no page has room, the arena is compacted first, and it grows
+   (by a page of half its capacity, i.e. 1.5x) only when that leaves
+   less than a quarter of it free, so growth follows the live clause
+   count, not the deleted one. Growth copies nothing. *)
 let alloc s ~learnt lits len =
   let need = len + hdr_words in
-  if s.arena_top + need > Array.length s.arena then begin
+  if not (find_room s need) then begin
     if s.arena_wasted > 0 then compact s;
-    let cap = Array.length s.arena in
-    if s.arena_top + need > cap - (cap / 4) then begin
-      let a' = Array.make (max (cap + (cap / 2)) (s.arena_top + need)) 0 in
-      Array.blit s.arena 0 a' 0 s.arena_top;
-      s.arena <- a'
+    let cap = Array.fold_left (fun acc a -> acc + Array.length a) 0 s.pages in
+    let live = Array.fold_left ( + ) 0 s.page_used in
+    if (not (find_room s need)) || live + need > cap - (cap / 4) then begin
+      s.pages <- Array.append s.pages [| Array.make (max need (cap / 2)) 0 |];
+      s.page_used <- Array.append s.page_used [| 0 |];
+      ignore (find_room s need : bool)
     end
   end;
-  let a = s.arena and c = s.arena_top in
-  a.(c) <- (len lsl 2) lor if learnt then learnt_bit else 0;
-  a.(c + 1) <- no_clause;
-  Array.blit lits 0 a (c + hdr_words) len;
-  s.arena_top <- c + need;
-  c
+  let k = s.cur_page in
+  let a = s.pages.(k) and h = s.page_used.(k) in
+  a.(h) <- (len lsl 2) lor if learnt then learnt_bit else 0;
+  a.(h + 1) <- no_clause;
+  Array.blit lits 0 a (h + hdr_words) len;
+  s.page_used.(k) <- h + need;
+  (k lsl page_bits) lor h
 
 (* {1 Propagation} *)
 
@@ -621,25 +672,26 @@ let propagate s =
       check_budget s
     end;
     let false_lit = p lxor 1 in
-    (* Propagation never allocates a clause, so the arena is fixed here,
+    (* Propagation never allocates a clause, so the pages are fixed here,
        and a replacement watch is never [false_lit], so [ws] is too. *)
-    let a = s.arena in
+    let pages = s.pages and values = s.values in
     let ws = s.watches.(false_lit) in
     let n = s.watch_size.(false_lit) in
     let i = ref 0 and j = ref 0 in
     while !i < n do
       let c = ws.(!i) in
       incr i;
-      let hdr = a.(c) in
+      let a = pages.(c lsr page_bits) and h = c land page_mask in
+      let hdr = a.(h) in
       if hdr land deleted_bit = 0 then begin
-        let w0 = c + hdr_words in
+        let w0 = h + hdr_words in
         (* Ensure the false literal is at position 1. *)
         if a.(w0) = false_lit then begin
           a.(w0) <- a.(w0 + 1);
           a.(w0 + 1) <- false_lit
         end;
         let first = a.(w0) in
-        let first_val = value_lit s first in
+        let first_val = values.(first) in
         if first_val = 1 then begin
           (* Clause satisfied; keep the watch. *)
           ws.(!j) <- c;
@@ -649,7 +701,7 @@ let propagate s =
           (* Look for a replacement watch. *)
           let stop = w0 + (hdr lsr 2) in
           let k = ref (w0 + 2) in
-          while !k < stop && value_lit s a.(!k) = 2 do
+          while !k < stop && values.(a.(!k)) = 2 do
             incr k
           done;
           if !k < stop then begin
@@ -687,7 +739,7 @@ let propagate s =
    asserting literal comes first, then the lower-level literals newest
    discovered first. *)
 let analyze s confl =
-  let a = s.arena and seen = s.seen and level = s.level in
+  let pages = s.pages and seen = s.seen and level = s.level in
   let lits = s.an_lits and to_clear = s.an_clear in
   let n_lits = ref 0 and n_clear = ref 0 in
   let dl = s.trail_lim_size in
@@ -698,11 +750,11 @@ let analyze s confl =
   let continue = ref true in
   let first = ref true in
   while !continue do
-    let c = !confl in
-    let hdr = a.(c) in
-    if hdr land learnt_bit <> 0 then bump_clause s a.(c + 1);
+    let a = pages.(!confl lsr page_bits) and h = !confl land page_mask in
+    let hdr = a.(h) in
+    if hdr land learnt_bit <> 0 then bump_clause s a.(h + 1);
     let start = if !first then 0 else 1 in
-    for j = c + hdr_words + start to c + hdr_words + (hdr lsr 2) - 1 do
+    for j = h + hdr_words + start to h + hdr_words + (hdr lsr 2) - 1 do
       let q = a.(j) in
       let v = q lsr 1 in
       if (not seen.(v)) && level.(v) > 0 then begin
@@ -740,10 +792,12 @@ let analyze s confl =
     let r = s.reason.(q lsr 1) in
     let redundant =
       r <> no_clause
-      && (a.(r) lsr 2) > 1
+      &&
+      let a = pages.(r lsr page_bits) and h = r land page_mask in
+      a.(h) lsr 2 > 1
       &&
       let ok = ref true in
-      for j = r + hdr_words + 1 to r + hdr_words + (a.(r) lsr 2) - 1 do
+      for j = h + hdr_words + 1 to h + hdr_words + (a.(h) lsr 2) - 1 do
         let w = a.(j) lsr 1 in
         if level.(w) > 0 && not seen.(w) then ok := false
       done;
@@ -764,8 +818,8 @@ let analyze s confl =
 (* {1 Clause management} *)
 
 let is_locked s c =
-  let v = s.arena.(c + hdr_words) lsr 1 in
-  s.reason.(v) = c && s.assigns.(v) <> 0
+  let v = word s c hdr_words lsr 1 in
+  s.reason.(v) = c && var_value s v <> 0
 
 (* Rebuild [learnts] from the slots [order] names, dropping the clauses
    [drop] selects (which are deleted) and renumbering the slots of the
@@ -782,7 +836,7 @@ let refill_learnts s order drop =
       else begin
         learnts.(!m) <- c;
         act.(!m) <- old_act.(k);
-        s.arena.(c + 1) <- !m;
+        set_word s c 1 !m;
         incr m
       end)
     order;
@@ -826,7 +880,7 @@ let record_learnt s btlevel =
     end;
     s.learnts.(k) <- c;
     s.learnt_act.(k) <- 0.;
-    s.arena.(c + 1) <- k;
+    set_word s c 1 k;
     (* Bumped before it is counted in [n_learnts], so a rescale its own
        bump triggers leaves it out. *)
     bump_clause s k;
@@ -881,7 +935,7 @@ let decide s =
     if s.heap_size = 0 then -1
     else
       let v = heap_pop s in
-      if s.assigns.(v) = 0 then v else pick ()
+      if var_value s v = 0 then v else pick ()
   in
   (* Occasional randomized decision (portfolio diversification): peek at a
      random heap slot without disturbing the heap; assigned entries are
@@ -893,7 +947,7 @@ let decide s =
       && Random.State.float s.rng 1.0 < s.config.random_freq
     then
       let v = s.heap.(Random.State.int s.rng s.heap_size) in
-      if s.assigns.(v) = 0 then v else -1
+      if var_value s v = 0 then v else -1
     else -1
   in
   let v = match random_pick () with -1 -> pick () | v -> v in
@@ -979,7 +1033,7 @@ let solve ?(assumptions = []) s =
         end
         else if not (decide s) then begin
           (* All variables assigned: a model. *)
-          s.model <- Array.init s.nvars (fun v -> s.assigns.(v) = 1);
+          s.model <- Array.init s.nvars (fun v -> var_value s v = 1);
           s.model_valid <- true;
           status := Some Sat
         end
@@ -1027,8 +1081,8 @@ let simplify s =
     if s.ok then begin
       let satisfied c =
         let sat = ref false in
-        for j = c + hdr_words to c + hdr_words + clause_size s c - 1 do
-          if value_lit s s.arena.(j) = 1 then sat := true
+        for j = hdr_words to hdr_words + clause_size s c - 1 do
+          if value_lit s (word s c j) = 1 then sat := true
         done;
         !sat
       in

@@ -8,7 +8,20 @@
     The solver is incremental: clauses and variables may be added between
     {!solve} calls, and each call may carry a list of assumption literals
     that hold only for that call — the mechanism {!Bmc} uses to activate
-    per-depth constraints. *)
+    per-depth constraints.
+
+    Storage. Clauses live in one [int] arena per solver, named by
+    integer handles (header words for size and learnt/deleted flags, then
+    the literals); there is no OCaml record per clause. Watch lists,
+    reasons, literal values, the trail and its level marks are [int]
+    arrays, and learnt-clause activities a [float] array, so propagation,
+    assignment, backtracking and clause bumps write no pointers. Deleted
+    clauses are reclaimed by an order-preserving in-place compaction
+    before the arena grows, by at most 1.5x and by adding a page rather
+    than copying; the arena is the solver's and is freed with it. The
+    layout is invisible through this interface and does not affect the
+    search: equal configurations and clause/solve sequences give equal
+    work counters. *)
 
 type t
 
