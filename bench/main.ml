@@ -1656,6 +1656,7 @@ let sat_bench () =
   in
   Printf.printf "%-6s %-14s %6s %9s %9s %11s %8s %8s %8s  %s\n" "ROW" "VERDICT"
     "DEPTH" "CONFL" "DECIS" "PROPS" "SOLVE_S" "MPROP/S" "WALL_S" "VS COMMITTED";
+  let solve = ref 0. and props = ref 0 in
   let rows =
     List.filter_map
       (fun (id, mk_ft, max_depth) ->
@@ -1669,6 +1670,8 @@ let sat_bench () =
             match outcome with
             | Bmc.Cex (_, st) | Bmc.Bounded_proof st | Bmc.Unknown (_, st) -> st
           in
+          solve := !solve +. st.Bmc.solve_time;
+          props := !props + st.Bmc.propagations;
           let props_per_s =
             float_of_int st.Bmc.propagations /. Float.max 1e-9 st.Bmc.solve_time
           in
@@ -1694,28 +1697,14 @@ let sat_bench () =
         end)
       (sat_rows ())
   in
-  let solve = ref 0. and props = ref 0 in
-  List.iter
-    (fun (row, _) ->
-      match Json.member "stats" row with
-      | Some stats ->
-          (match Json.member "solve_s" stats with
-          | Some (Json.Float f) -> solve := !solve +. f
-          | _ -> ());
-          (match Json.member "propagations" stats with
-          | Some (Json.Int n) -> props := !props + n
-          | _ -> ())
-      | None -> ())
-    rows;
-  let differ = List.filter (fun (_, v) -> v = "DIFFERS") rows in
+  let count v = List.length (List.filter (fun (_, v') -> v' = v) rows) in
   print_newline ();
   Printf.printf "     total: %d propagations in %.3fs solver time = %.2fM props/s\n"
     !props !solve
     (float_of_int !props /. Float.max 1e-9 !solve /. 1e6);
   if committed <> [] then
-    Printf.printf "     counters vs committed %s: %d same, %d differ\n" path
-      (List.length (List.filter (fun (_, v) -> v = "same") rows))
-      (List.length differ);
+    Printf.printf "     counters vs committed %s: %d same, %d differ\n" path (count "same")
+      (count "DIFFERS");
   Json.write ~path
     (Json.Obj
        [
