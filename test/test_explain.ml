@@ -149,6 +149,142 @@ let test_minimize () =
     (popcount kept - popcount m.Bmc.cex_inputs)
     mn.Explain.mn_zeroed_bits
 
+(* Golden minimisation: the campaign's maple_m3 and divider entries,
+   swept by [check_each] at -O1 (no SAT sweep, so the CEX pool is
+   deterministic). Each CEX is pinned by its assertion, depth, the
+   failing-assertion list [Bmc.validate] returns on the raw and the
+   minimised witness, [mn_zeroed_bits], [mn_iterations] and the
+   minimised inputs' nonzero values in hex. Any change to which replay
+   trials run, or to what a trial decides, moves one of these. *)
+let golden_lines ft ~max_depth =
+  let property = ft.Autocc.Ft.property in
+  Bmc.check_each ~max_depth ~opt:Opt.O1 ~sym:ft.Autocc.Ft.sym ft.Autocc.Ft.wrapper
+    property
+  |> List.filter_map (function
+       | name, Bmc.Cex (cex, _) ->
+           let prop failed =
+             {
+               property with
+               Bmc.asserts =
+                 List.filter (fun (n, _) -> List.mem n failed) property.Bmc.asserts;
+             }
+           in
+           let validate (c : Bmc.cex) =
+             Bmc.validate c.Bmc.cex_circuit (prop c.Bmc.cex_failed) c.Bmc.cex_inputs
+               c.Bmc.cex_depth
+           in
+           let mn = Explain.minimize ft cex in
+           let m = mn.Explain.mn_cex in
+           let inputs =
+             Array.to_list m.Bmc.cex_inputs
+             |> List.mapi (fun c assignments ->
+                    List.filter_map
+                      (fun (n, v) ->
+                        if Bitvec.is_zero v then None
+                        else Some (Printf.sprintf "%d:%s=%s" c n (Bitvec.to_hex_string v)))
+                      assignments)
+             |> List.concat
+           in
+           Some
+             (Printf.sprintf "%s d=%d raw=[%s] min=[%s] d'=%d zeroed=%d iters=%d in=[%s]"
+                name cex.Bmc.cex_depth
+                (String.concat "," (validate cex))
+                (String.concat "," (validate m))
+                m.Bmc.cex_depth mn.Explain.mn_zeroed_bits mn.Explain.mn_iterations
+                (String.concat " " inputs))
+       | _, (Bmc.Bounded_proof _ | Bmc.Unknown _) -> None)
+
+let golden_maple_m3 =
+  [
+    "as__noc_req_valid_eq d=6 raw=[as__noc_req_valid_eq] \
+     min=[as__noc_req_valid_eq] d'=6 zeroed=42 iters=143 \
+     in=[0:a_cfg_wen=1 0:a_cfg_addr=2 0:b_cfg_wen=1 0:b_cfg_addr=2 \
+     1:a_cfg_wen=1 1:a_cfg_wdata=bc 3:a_noc_req_ready=1 3:a_cfg_wen=1 \
+     3:a_cfg_addr=1 3:a_cfg_wdata=bc 3:b_noc_req_ready=1 3:b_cfg_wen=1 \
+     3:b_cfg_addr=1 3:b_cfg_wdata=bc 4:a_req_valid=1 4:a_req_idx=a \
+     4:a_noc_req_ready=1 4:a_cfg_wen=1 4:a_cfg_addr=1 4:a_cfg_wdata=bd \
+     4:b_req_valid=1 4:b_req_idx=a 4:b_noc_req_ready=1 4:b_cfg_wen=1 \
+     4:b_cfg_addr=1 4:b_cfg_wdata=bd 5:a_req_valid=1 5:a_req_idx=6 \
+     5:a_noc_req_ready=1 5:a_cfg_wen=1 5:a_cfg_addr=2 5:b_req_valid=1 \
+     5:b_req_idx=6 5:b_noc_req_ready=1 5:b_cfg_wen=1 5:b_cfg_addr=2 \
+     6:a_noc_req_ready=1 6:a_cfg_wen=1 6:a_cfg_wdata=04 \
+     6:b_noc_req_ready=1 6:b_cfg_wen=1 6:b_cfg_wdata=04]";
+    "as__noc_req_addr_eq d=5 raw=[as__noc_req_addr_eq] \
+     min=[as__noc_req_addr_eq] d'=5 zeroed=40 iters=124 \
+     in=[0:a_cfg_wen=1 0:a_cfg_addr=2 0:b_cfg_wen=1 0:b_cfg_addr=2 \
+     1:b_cfg_wen=1 1:b_cfg_wdata=40 3:a_noc_req_ready=1 3:a_cfg_wen=1 \
+     3:a_cfg_addr=1 3:a_cfg_wdata=bc 3:b_noc_req_ready=1 3:b_cfg_wen=1 \
+     3:b_cfg_addr=1 3:b_cfg_wdata=bc 4:a_req_valid=1 4:a_req_idx=a \
+     4:a_noc_req_ready=1 4:a_cfg_wen=1 4:a_cfg_addr=1 4:a_cfg_wdata=bd \
+     4:b_req_valid=1 4:b_req_idx=a 4:b_noc_req_ready=1 4:b_cfg_wen=1 \
+     4:b_cfg_addr=1 4:b_cfg_wdata=bd 5:a_req_valid=1 5:a_req_idx=6 \
+     5:a_noc_req_ready=1 5:a_cfg_wen=1 5:a_cfg_addr=2 5:b_req_valid=1 \
+     5:b_req_idx=6 5:b_noc_req_ready=1 5:b_cfg_wen=1 5:b_cfg_addr=2]";
+    "as__fault_eq d=5 raw=[as__fault_eq] min=[as__fault_eq] d'=5 \
+     zeroed=45 iters=196 in=[0:a_cfg_wen=1 0:a_cfg_addr=2 0:b_cfg_wen=1 \
+     0:b_cfg_addr=2 1:a_cfg_wen=1 1:a_cfg_wdata=c0 2:a_noc_resp_valid=1 \
+     2:a_noc_resp_data=d7 2:a_cfg_wen=1 2:a_cfg_addr=1 2:a_cfg_wdata=bb \
+     2:b_noc_resp_valid=1 2:b_noc_resp_data=d7 2:b_cfg_wen=1 \
+     2:b_cfg_addr=1 2:b_cfg_wdata=bb 3:a_noc_req_ready=1 3:a_consume=1 \
+     3:a_cfg_wen=1 3:a_cfg_addr=1 3:a_cfg_wdata=fe 3:b_noc_req_ready=1 \
+     3:b_consume=1 3:b_cfg_wen=1 3:b_cfg_addr=1 3:b_cfg_wdata=fe \
+     4:a_noc_resp_valid=1 4:a_noc_resp_data=c0 4:a_cfg_wen=1 \
+     4:a_cfg_addr=1 4:a_cfg_wdata=bb 4:b_noc_resp_valid=1 \
+     4:b_noc_resp_data=c0 4:b_cfg_wen=1 4:b_cfg_addr=1 4:b_cfg_wdata=bb \
+     5:a_req_valid=1 5:a_req_idx=5 5:a_noc_req_ready=1 \
+     5:a_noc_resp_valid=1 5:a_noc_resp_data=58 5:a_cfg_wen=1 \
+     5:a_cfg_addr=1 5:a_cfg_wdata=ce 5:b_req_valid=1 5:b_req_idx=5 \
+     5:b_noc_req_ready=1 5:b_noc_resp_valid=1 5:b_noc_resp_data=58 \
+     5:b_cfg_wen=1 5:b_cfg_addr=1 5:b_cfg_wdata=ce]";
+  ]
+
+let golden_divider =
+  [
+    "as__busy_eq d=4 raw=[as__busy_eq] min=[as__busy_eq] d'=4 zeroed=7 \
+     iters=51 in=[0:a_start=1 0:a_dividend=f 0:a_divisor=4 0:b_start=1 \
+     0:b_dividend=c 0:b_divisor=6 1:a_start=1 1:a_dividend=4 \
+     1:a_divisor=7 1:b_start=1 1:b_dividend=4 1:b_divisor=7 \
+     1:flush_done=1 3:a_start=1 3:b_start=1]";
+    "as__done_valid_eq d=4 raw=[as__done_valid_eq] \
+     min=[as__done_valid_eq] d'=4 zeroed=7 iters=47 in=[0:a_start=1 \
+     0:a_dividend=c 0:a_divisor=6 0:b_start=1 0:b_dividend=f \
+     0:b_divisor=4 1:a_start=1 1:a_dividend=4 1:a_divisor=7 1:b_start=1 \
+     1:b_dividend=4 1:b_divisor=7 1:flush_done=1]";
+    "as__quotient_eq d=4 raw=[as__quotient_eq] min=[as__quotient_eq] \
+     d'=4 zeroed=4 iters=44 in=[0:a_start=1 0:a_dividend=8 \
+     0:a_divisor=4 0:b_start=1 0:b_dividend=f 0:b_divisor=4 1:a_start=1 \
+     1:a_dividend=6 1:a_divisor=8 1:b_start=1 1:b_dividend=6 \
+     1:b_divisor=8 1:flush_done=1 2:a_start=1 2:b_start=1]";
+    "as__remainder_eq d=4 raw=[as__remainder_eq] min=[as__remainder_eq] \
+     d'=4 zeroed=4 iters=42 in=[0:a_start=1 0:a_dividend=5 \
+     0:a_divisor=2 0:b_start=1 0:b_dividend=8 0:b_divisor=2 1:a_start=1 \
+     1:a_dividend=3 1:a_divisor=8 1:b_start=1 1:b_dividend=3 \
+     1:b_divisor=8 1:flush_done=1 2:a_start=1 2:b_start=1]";
+  ]
+
+(* Simulator cycles stepped by both sweeps, their CEX extraction and
+   every minimisation trial. *)
+let golden_sim_steps = 3743
+
+let test_minimize_golden () =
+  let module M = Duts.Maple in
+  let m3 = M.create ~config:{ M.fix_m2 = true; fix_m3 = false } () in
+  let maple =
+    Autocc.Ft.generate ~threshold:2 ~flush_done:(M.flush_done ~require_outbuf_empty:true ()) m3
+  in
+  let divider = Autocc.Ft.generate ~threshold:2 (Duts.Divider.create ()) in
+  Obs.Metrics.reset ();
+  Obs.Metrics.enable ();
+  Fun.protect ~finally:Obs.Metrics.disable @@ fun () ->
+  Alcotest.(check (list string)) "maple_m3" golden_maple_m3
+    (golden_lines maple ~max_depth:10);
+  Alcotest.(check (list string)) "divider" golden_divider
+    (golden_lines divider ~max_depth:12);
+  Alcotest.(check (option int)) "sim.steps" (Some golden_sim_steps)
+    (match Obs.Metrics.find "sim.steps" with
+    | Some (Obs.Metrics.Counter n) -> Some n
+    | _ -> None)
+
 let test_cluster () =
   let dut = two_leak_dut () in
   let ft = Autocc.Ft.generate ~threshold:2 dut in
@@ -265,7 +401,10 @@ let () =
       ( "slice",
         [ Alcotest.test_case "leaky provenance chain" `Quick test_slice ] );
       ( "minimize",
-        [ Alcotest.test_case "replay-checked reduction" `Quick test_minimize ] );
+        [
+          Alcotest.test_case "replay-checked reduction" `Quick test_minimize;
+          Alcotest.test_case "golden campaign witnesses" `Quick test_minimize_golden;
+        ] );
       ( "cluster",
         [
           Alcotest.test_case "two channels separated" `Quick test_cluster;
