@@ -106,42 +106,45 @@ let check_width_1 what s =
   if Signal.width s <> 1 then
     invalid_arg (Printf.sprintf "Bmc: %s signal must be 1 bit wide" what)
 
-let replay cex =
-  let sim = Sim.create cex.cex_circuit in
-  sim
-
 let replay_values cex signals =
-  let sim = replay cex in
+  let sim = Sim.create cex.cex_circuit in
   Sim.watch sim signals;
   Sim.run sim cex.cex_inputs;
   Sim.waveform sim
 
-(* Validate a candidate CEX on the interpreter: all assumptions must hold
-   on cycles 0..depth and some named assertion must be false at [depth]. *)
-let validate circuit property inputs depth =
+(* Validate a candidate CEX on the simulator: all assumptions must hold
+   on every replayed cycle and some named assertion must be false at
+   [depth]. The circuit is compiled once; each call resets and reruns
+   that one simulator. *)
+let validator circuit =
   let sim = Sim.create circuit in
-  let failed = ref [] in
-  Array.iteri
-    (fun cycle assignments ->
-      List.iter (fun (n, v) -> Sim.set_input sim n v) assignments;
-      List.iter
-        (fun a ->
-          if Bitvec.is_zero (Sim.peek sim a) then
-            raise
-              (Replay_mismatch
-                 (Printf.sprintf "assumption violated at cycle %d in replay" cycle)))
-        property.assumes;
-      if cycle = depth then
-        failed :=
-          List.filter_map
-            (fun (name, a) ->
-              if Bitvec.is_zero (Sim.peek sim a) then Some name else None)
-            property.asserts;
-      Sim.step sim)
-    inputs;
-  if !failed = [] then
-    raise (Replay_mismatch "no assertion failed at CEX depth in replay");
-  !failed
+  fun property inputs depth ->
+    Sim.reset sim;
+    let failed = ref [] in
+    Array.iteri
+      (fun cycle assignments ->
+        List.iter (fun (n, v) -> Sim.set_input sim n v) assignments;
+        List.iter
+          (fun a ->
+            if Bitvec.is_zero (Sim.peek sim a) then
+              raise
+                (Replay_mismatch
+                   (Printf.sprintf "assumption violated at cycle %d in replay" cycle)))
+          property.assumes;
+        if cycle = depth then
+          failed :=
+            List.filter_map
+              (fun (name, a) ->
+                if Bitvec.is_zero (Sim.peek sim a) then Some name else None)
+              property.asserts;
+        Sim.step sim)
+      inputs;
+    if !failed = [] then
+      raise (Replay_mismatch "no assertion failed at CEX depth in replay");
+    !failed
+
+let validate circuit property inputs depth =
+  validator circuit property inputs depth
 
 let check_property what property =
   List.iter (check_width_1 "assume") property.assumes;

@@ -27,7 +27,7 @@
     [Unknown] reasons.
 
     Counterexamples carry the full primary-input trace and are replayed on
-    the {!Sim} interpreter before being reported, so a returned CEX is
+    the {!Sim} simulator before being reported, so a returned CEX is
     always simulation-validated. *)
 
 type property = {
@@ -306,15 +306,25 @@ val validate :
   int ->
   string list
 (** [validate circuit property inputs depth] replays a candidate
-    counterexample on the {!Sim} interpreter: all assumptions must hold
-    on cycles [0 .. depth] and some assertion must be false at [depth].
-    Returns the names of every failing assertion at [depth]; raises
+    counterexample on the {!Sim} simulator: every assumption must hold
+    on every cycle of [inputs] (the trace is replayed to its end, even
+    past [depth]) and some assertion must be false at [depth]. Returns
+    the names of every failing assertion at [depth]; raises
     {!Replay_mismatch} otherwise. [circuit] must carry the property
-    signals (use {!instrument}). *)
+    signals (use {!instrument}). A one-shot {!validator}: it compiles
+    [circuit] on every call. *)
 
-val replay : cex -> Sim.t
-(** A simulator advanced to just before cycle 0 with watches installed;
-    use {!replay_values} for convenience. *)
+val validator :
+  Rtl.Circuit.t ->
+  property ->
+  (string * Bitvec.t) list array ->
+  int ->
+  string list
+(** [validator circuit] compiles [circuit] into one simulator and
+    returns {!validate} over it: each call resets the simulator, then
+    replays and checks exactly as {!validate} does. Use it to replay
+    many candidate traces on one circuit. Not safe to call from two
+    domains at once. *)
 
 val replay_values : cex -> Rtl.Signal.t list -> (Rtl.Signal.t * Bitvec.t array) list
 (** Per-cycle values (combinationally settled, cycles [0 .. cex_depth]) of

@@ -303,7 +303,7 @@ let reraise_failures results =
    extend the input trace to every input of the fully-instrumented
    circuit (inputs outside the shard's cone cannot influence the
    assumptions or the winning assertion, so zeros are as good as any
-   value) and re-validate on the interpreter to recover the complete
+   value) and re-validate on the simulator to recover the complete
    failing-assertion set for this trace. *)
 let widen_cex circuit property (win : Bmc.cex) =
   let full = Bmc.instrument circuit property in

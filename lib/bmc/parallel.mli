@@ -34,7 +34,7 @@
     (calling) domain drains. User code never runs on a worker domain.
 
     {b Counterexamples} found by a shard are replayed on the {!Sim}
-    interpreter against the full property before being returned, exactly
+    simulator against the full property before being returned, exactly
     like the sequential engine, so a returned CEX is always
     simulation-validated and its [cex_failed] set is complete for its
     trace. *)

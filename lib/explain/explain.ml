@@ -310,12 +310,14 @@ let minimize ft cex =
     }
   in
   let iterations = ref 0 in
-  (* A trial passes when replay raises no mismatch (assumptions hold,
+  (* Every trial replays on one simulator compiled for this witness. A
+     trial passes when replay raises no mismatch (assumptions hold,
      something fails at the final depth) and one of the original failing
      assertions is among the failures. *)
+  let validate = Bmc.validator cex.Bmc.cex_circuit in
   let ok inputs depth =
     incr iterations;
-    match Bmc.validate cex.Bmc.cex_circuit prop inputs depth with
+    match validate prop inputs depth with
     | failed -> if List.exists (fun n -> List.mem n targets) failed then Some failed else None
     | exception Bmc.Replay_mismatch _ -> None
   in

@@ -16,8 +16,8 @@
       that turns a counterexample into a security finding;
     - {b minimization} ({!minimize}): greedily truncate the witness
       depth and rewrite don't-care input bits to zero, accepting a
-      rewrite only if the trace, replayed on the interpreter
-      ({!Bmc.validate}), still violates the same assertion under all
+      rewrite only if the trace, replayed on one simulator compiled for
+      the witness ({!Bmc.validator}), still violates the same assertion under all
       assumptions — so every minimized witness is replay-verified;
     - {b clustering} ({!cluster}): fingerprint each CEX by (culprit
       register, register-level divergence-path signature) and

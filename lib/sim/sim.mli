@@ -1,17 +1,33 @@
-(** Cycle-accurate interpreter for elaborated circuits.
+(** Cycle-accurate compiled simulator for elaborated circuits.
 
     The usage protocol per cycle is: drive inputs with {!set_input}, read
     combinational results with {!peek} / {!out} (which evaluate lazily),
-    then {!step} to latch registers and advance time. {!reset} returns all
-    registers to their initial values. *)
+    then {!step} to latch registers and advance time.
+
+    {!create} compiles the circuit once into a per-node plan over
+    [Circuit.topo] indices; evaluation is a loop over that plan. Nodes of
+    at most 62 bits compute on unboxed [int]s masked to their width; a
+    node wider than that, or with a wider argument, evaluates with the
+    {!Bitvec} op. [Bitvec.t] values are built only where this API returns
+    them. One instance can replay any number of traces: {!reset} between
+    them.
+
+    The simulator depends on no part of the SAT or CNF stack, which is
+    what lets it serve as the independent oracle that every
+    counterexample is replayed on. *)
 
 type t
 
 val create : Rtl.Circuit.t -> t
-(** A fresh simulator, in reset state, all inputs zero. *)
+(** Compile [circuit] into a fresh simulator, in reset state: registers
+    at their initial values, all inputs zero, cycle 0. *)
 
 val circuit : t -> Rtl.Circuit.t
+
 val reset : t -> unit
+(** Return to exactly the state {!create} leaves: registers at their
+    initial values, all inputs zero, cycle 0. Watched signals stay
+    watched, with their recorded values cleared. *)
 
 val set_input : t -> string -> Bitvec.t -> unit
 (** Raises [Failure] on unknown input or width mismatch. *)
